@@ -21,7 +21,7 @@ def main():
     args = parser.parse_args()
 
     tiny = dict(max_worlds=3, max_children=2, max_depth=2, prop_count=1, constant_count=1, edge_density=0.45)
-    started = time.time()
+    started = time.perf_counter()
     agree = disagree = positives = 0
     for k in range(args.pairs):
         seed = args.seed + k
@@ -44,8 +44,12 @@ def main():
         if verdict.bisimilar:
             positives += 1
             assert check_witness(pm, pn, verdict.witness).ok
-    elapsed = time.time() - started
-    print(f"{agree}/{args.pairs} agree ({positives} bisimilar, witnesses verified) in {elapsed:.1f}s")
+    elapsed = time.perf_counter() - started
+    per_pair_ms = 1000 * elapsed / args.pairs if args.pairs else 0.0
+    print(
+        f"{agree}/{args.pairs} agree ({positives} bisimilar, witnesses verified)"
+        f" in {elapsed:.1f}s ({per_pair_ms:.2f} ms per pair)"
+    )
     if disagree:
         sys.exit(1)
 

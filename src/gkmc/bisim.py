@@ -185,21 +185,20 @@ class _Ctx:
     def __init__(self, vocab: Vocabulary, budget: _Budget):
         self.vocab = vocab
         self.budget = budget
-        self.levels: dict[tuple[int, int], _PairLevel] = {}
-        self.verdicts: dict[tuple[int, int, str, str], BisimVerdict] = {}
-        self.keepalive = []
+        # Keyed by the model objects, which hash by identity.
+        self.levels: dict[tuple[GenealogicalModel, GenealogicalModel], _PairLevel] = {}
+        self.verdicts: dict[tuple[GenealogicalModel, GenealogicalModel, str, str], BisimVerdict] = {}
 
     def level(self, m, n) -> _PairLevel:
-        key = (id(m), id(n))
+        key = (m, n)
         got = self.levels.get(key)
         if got is None:
             got = _PairLevel(self, m, n)
             self.levels[key] = got
-            self.keepalive.append((m, n))
         return got
 
     def decide(self, m, n, s, t) -> BisimVerdict:
-        key = (id(m), id(n), s, t)
+        key = (m, n, s, t)
         got = self.verdicts.get(key)
         if got is None:
             got = self._search(self.level(m, n), s, t)
@@ -438,12 +437,12 @@ def brute_force_bisim(
             stack.extend(node.children.values())
     if vocab is None:
         vocab = _union_vocab(m, n)
-    memo: dict[tuple[int, int, str, str], bool] = {}
+    memo: dict[tuple[GenealogicalModel, GenealogicalModel, str, str], bool] = {}
     return _bf_decide(m, n, pm.world, pn.world, vocab, memo)
 
 
 def _bf_decide(m, n, s, t, vocab, memo) -> bool:
-    key = (id(m), id(n), s, t)
+    key = (m, n, s, t)
     got = memo.get(key)
     if got is not None:
         return got

@@ -103,6 +103,7 @@ class _Enumerator:
         self.props = sorted(budget.vocab.props)
         self.consts = sorted(budget.vocab.constants)
         self.cache: dict[tuple, tuple[Formula, ...]] = {}
+        # Formula -> (cost it was first built at, canonical text).
         self.sort_key: dict[Formula, tuple[int, str]] = {}
 
     def exact(self, cost: int, modal: int, ctx: _Ctx) -> tuple[Formula, ...]:
@@ -113,7 +114,8 @@ class _Enumerator:
         if got is None:
             got = tuple(self._build(cost, modal, ctx))
             for f in got:
-                self.sort_key.setdefault(f, (cost, format_formula(f)))
+                if f not in self.sort_key:
+                    self.sort_key[f] = (cost, format_formula(f))
             self.cache[key] = got
         return got
 
@@ -190,7 +192,7 @@ def enumerate_sentences(budget: EnumerationBudget) -> Iterator[Formula]:
     seen: set[Formula] = set()
     root: _Ctx = ((), frozenset(), frozenset())
     for cost in range(budget.max_connective_depth + 1):
-        batch = sorted(set(enum.exact(cost, budget.max_modal_depth, root)), key=format_formula)
+        batch = sorted(set(enum.exact(cost, budget.max_modal_depth, root)), key=lambda f: enum.sort_key[f][1])
         for f in batch:
             if f in seen:
                 continue

@@ -120,18 +120,22 @@ def _formula_var_deps(f: Formula) -> frozenset[str]:
 class Evaluator:
     """Evaluates formulas, optionally sharing a memo table across calls.
 
-    Memo entries are keyed by model identity, formula, and both
-    interpretations restricted to the variables the formula can actually
-    consult, so results are reused across worlds, sibling conjuncts and
-    whole sentence streams.  The memoized path is validated against the
-    unmemoized one in the test suite.
+    Memo entries are keyed by the model object (models hash by identity),
+    the formula, and both interpretations restricted to the variables the
+    formula can actually consult, so results are reused across worlds,
+    sibling conjuncts and whole sentence streams.  The tables hold the
+    models they have seen for the evaluator's lifetime.  The memoized
+    path is validated against the unmemoized one in the test suite.
+
+    `sentence_worlds` checks its argument with `check_sentence`, whose
+    verdict is cached on the formula node, so evaluating an already
+    checked sentence repeats no check.
     """
 
     def __init__(self, use_memo: bool = True):
         self._memo: Optional[dict] = {} if use_memo else None
-        self._keepalive: dict[int, GenealogicalModel] = {}
-        self._succ: dict[int, dict[str, frozenset[str]]] = {}
-        self._all: dict[int, frozenset[str]] = {}
+        self._succ: dict[GenealogicalModel, dict[str, frozenset[str]]] = {}
+        self._all: dict[GenealogicalModel, frozenset[str]] = {}
 
     def sentence_worlds(self, m: GenealogicalModel, sentence: Formula) -> frozenset[str]:
         diagnostics = check_sentence(sentence)
@@ -145,22 +149,19 @@ class Evaluator:
     # -- internals ----------------------------------------------------
 
     def _worlds(self, m: GenealogicalModel) -> frozenset[str]:
-        ws = self._all.get(id(m))
+        ws = self._all.get(m)
         if ws is None:
-            self._keepalive[id(m)] = m
-            ws = frozenset(m.worlds)
-            self._all[id(m)] = ws
+            ws = self._all[m] = frozenset(m.worlds)
         return ws
 
     def _successors(self, m: GenealogicalModel) -> dict[str, frozenset[str]]:
-        succ = self._succ.get(id(m))
+        succ = self._succ.get(m)
         if succ is None:
-            self._keepalive[id(m)] = m
             table: dict[str, set[str]] = {w: set() for w in m.worlds}
             for a, b in m.relation:
                 table[a].add(b)
             succ = {w: frozenset(ts) for w, ts in table.items()}
-            self._succ[id(m)] = succ
+            self._succ[m] = succ
         return succ
 
     def _eval(self, m, f, mv: dict, fv: dict) -> frozenset[str]:
@@ -169,14 +170,13 @@ class Evaluator:
         mdeps = _model_var_deps(f)
         fdeps = _formula_var_deps(f)
         key = (
-            id(m),
+            m,
             f,
-            tuple(sorted((k, v) for k, v in mv.items() if k in mdeps)),
-            tuple(sorted(((k, v) for k, v in fv.items() if k in fdeps), key=lambda kv: kv[0])),
+            tuple(sorted((k, v) for k, v in mv.items() if k in mdeps)) if mdeps else (),
+            tuple(sorted(((k, v) for k, v in fv.items() if k in fdeps), key=lambda kv: kv[0])) if fdeps else (),
         )
         hit = self._memo.get(key)
         if hit is None:
-            self._keepalive[id(m)] = m
             hit = self._clause(m, f, mv, fv)
             self._memo[key] = hit
         return hit

@@ -26,9 +26,15 @@ applies `phi` as a unary predicate to the child process named by the
 term `t`; `#name` is a model constant, a bare name a model variable.
 
 Derived forms (`F`, `|`, `->`, `<>`, `exists`) expand to the primitive
-connectives at parse time and never appear in stored trees.  Formula
-values are immutable, hashable and compare structurally; there is no
-alpha-equivalence.
+connectives at parse time and never appear in stored trees.
+
+Formula values are immutable and compare structurally; there is no
+alpha-equivalence.  Trees built separately (by `parse` or by the
+constructors) are equal and hash equal when their structure is, and
+nodes of different types never compare equal.  Each node caches its
+hash and its `check_sentence` result the first time they are asked for
+(see `Formula`), so a tree shared by many memo tables, sets and checks
+pays for each once.
 """
 
 from __future__ import annotations
@@ -39,49 +45,79 @@ from typing import Iterator, Optional
 
 
 class Formula:
-    """Base class of formula nodes."""
+    """Base class of formula nodes.
 
-    __slots__ = ()
+    Two slots cache per-node facts that never change once the node
+    exists: `_hash`, filled by the first `hash()`, and `_sentence`,
+    filled by the first `check_sentence`.  They are not dataclass fields,
+    so equality, `repr`, `fields()`, `__match_args__` and the pickled
+    state of a node ignore them; an unpickled or copied node fills them
+    again on first use.  Racing threads at worst compute a value twice.
+    """
+
+    __slots__ = ("_hash", "_sentence")
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            # The children cache their own hashes, so this costs one level.
+            h = hash((type(self), self._hash_fields()))
+            object.__setattr__(self, "_hash", h)
+            return h
 
 
-@dataclass(frozen=True, slots=True)
+def _node(cls):
+    """A frozen, slotted formula dataclass hashed by `Formula.__hash__`.
+
+    `dataclass` installs its own hash of the field values, recomputed on
+    every use and blind to the node's type; it is kept as `_hash_fields`
+    for the cached hash to call once.
+    """
+    cls = dataclass(frozen=True, slots=True)(cls)
+    cls._hash_fields = cls.__hash__
+    cls.__hash__ = Formula.__hash__
+    return cls
+
+
+@_node
 class Top(Formula):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Prop(Formula):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class FormulaVar(Formula):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Not(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Box(Formula):
     operand: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Forall(Formula):
     var: str
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class Xi(Formula):
     """Binds a formula variable to the body, enabling self-reference."""
 
@@ -89,7 +125,7 @@ class Xi(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class QueryVar(Formula):
     """`?[body] var`: evaluate body in the child process named by a model variable."""
 
@@ -97,7 +133,7 @@ class QueryVar(Formula):
     var: str
 
 
-@dataclass(frozen=True, slots=True)
+@_node
 class QueryConst(Formula):
     """`?[body] #const`: evaluate body in the child process a constant points to."""
 
@@ -503,8 +539,13 @@ def check_sentence(f: Formula) -> SentenceDiagnostics:
 
     Three conditions, freeness always computed relative to the subformula
     under inspection: the whole formula is closed; every `xi`-subformula
-    is closed; every `?[ ]` body has no free model variables.
+    is closed; every `?[ ]` body has no free model variables.  The result
+    is cached on `f`, so checking the same node again returns the same
+    object.
     """
+    cached = getattr(f, "_sentence", None)
+    if cached is not None:
+        return cached
     violations: list[SentenceViolation] = []
     for occ in occurrences(f):
         if occ.free:
@@ -534,4 +575,6 @@ def check_sentence(f: Formula) -> SentenceDiagnostics:
                     )
                 )
     violations.sort(key=lambda v: (v.node, v.tag))
-    return SentenceDiagnostics(not violations, tuple(violations))
+    diagnostics = SentenceDiagnostics(not violations, tuple(violations))
+    object.__setattr__(f, "_sentence", diagnostics)
+    return diagnostics

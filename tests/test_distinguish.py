@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+
+import pytest
 
 from gkmc.bisim import bisimilar, brute_force_bisim
 from gkmc.distinguish import EnumerationBudget, distinguish, enumerate_sentences
@@ -25,6 +28,14 @@ def test_depth_one_stream():
     for member in ["T", "F", "p", "~p", "[]p", "<>p", "[]T"]:
         assert parse(member, P_ONLY) in stream, member
     assert len(texts) == len(set(texts))
+
+
+@pytest.mark.parametrize("cost,count,digest", [(3, 603, "dc4b14ea53b29d65"), (4, 4861, "53cfb7c5d3c33d90")])
+def test_stream_order_is_pinned(cost, count, digest):
+    # The order decides which separator `distinguish` returns.
+    texts = [format_formula(f) for f in enumerate_sentences(EnumerationBudget(cost, 4, P_C))]
+    assert len(texts) == count
+    assert hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16] == digest
 
 
 def test_stream_is_deterministic():

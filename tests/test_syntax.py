@@ -1,3 +1,6 @@
+import pickle
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -274,3 +277,55 @@ def test_violation_paths_point_at_subformulas():
     nodes = dict(subformulas(f))
     for violation in check_sentence(f).violations:
         assert violation.node in nodes
+
+
+# --- value contract ------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "left,right",
+    [
+        (Not(Prop("p")), Box(Prop("p"))),
+        (Forall("x", Prop("p")), Xi("x", Prop("p"))),
+        (QueryVar(Prop("p"), "c"), QueryConst(Prop("p"), "c")),
+    ],
+)
+def test_nodes_of_different_types_differ_in_hash(left, right):
+    assert left != right
+    assert hash(left) != hash(right)
+
+
+@pytest.mark.parametrize(
+    "text,built",
+    [
+        ("xi X. forall x. ?[X] x", Xi("X", Forall("x", QueryVar(FormulaVar("X"), "x")))),
+        ("[]p & ?[~q] #c", And(Box(Prop("p")), QueryConst(Not(Prop("q")), "c"))),
+        ("<>T", Not(Box(Not(Top())))),
+    ],
+)
+def test_separately_built_trees_are_equal_and_hash_equal(text, built):
+    parsed = parse(text, VOCAB)
+    assert parsed is not built
+    assert parsed == built
+    assert hash(parsed) == hash(built)
+
+
+def test_cached_slots_leave_value_unchanged():
+    f = parse("xi X. forall x. ?[X] x", VOCAB)
+    state = pickle.dumps(f)
+    text = repr(f)
+    hash(f)
+    check_sentence(f)
+    assert pickle.dumps(f) == state
+    assert repr(f) == text == "Xi(var='X', body=Forall(var='x', body=QueryVar(body=FormulaVar(name='X'), var='x')))"
+    assert [field.name for field in fields(f)] == ["var", "body"]
+    assert Xi.__match_args__ == ("var", "body")
+    restored = pickle.loads(state)
+    assert restored == f and hash(restored) == hash(f)
+
+
+@pytest.mark.parametrize("text", ["xi X. forall x. ?[X] x", "?[xi X. X] #c"])
+def test_sentence_check_is_cached_on_the_node(text):
+    f = parse(text, VOCAB)
+    assert check_sentence(f) is check_sentence(f)
+    assert check_sentence(parse(text, VOCAB)) == check_sentence(f)
