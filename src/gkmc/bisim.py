@@ -11,20 +11,28 @@ monotone along it, f((u,v)) being a subset of the successor pair's value.
 
 The decision procedure works bottom-up by generation: child pointed
 bisimilarity is decided first (memoized), giving for every world pair the
-set G(u,v) of child pairs bisimilar at tracked worlds.  Candidate world
-pairs failing the per-pair clauses or a plain zig/zag refinement are
-discarded, then a depth-first search assigns an f value (a surjective
-subset of G) to each pair reachable from the queried one, backtracking
-over successor choices and f values when monotonicity cannot be met.
-The search is exact; exceeding the node budget raises instead of
-returning a wrong verdict.  `brute_force_bisim` is an independent
-oracle for tiny inputs that literally enumerates relations Z and
-functions f.
+set G(u,v) of child pairs bisimilar at tracked worlds.  Call (u,v) locally
+ok when it passes the atom and constant clauses and G(u,v) is surjective.
+Then (s,t) is bisimilar iff, for some minimal surjective H ⊆ G(s,t),
+(s,t) lies in the fixpoint of H: the greatest zig/zag-closed set of
+locally ok pairs q with H ⊆ G(q).  If: that set with f ≡ H is a
+bisimulation, a constant f being monotone.  Only if: given (Z, f), answer
+every zig/zag step from (s,t) with a monotone response in Z.  f only
+grows along the way, so each pair q reached has f(s,t) ⊆ f(q) ⊆ G(q),
+and the reached pairs lie in the fixpoint of H = f(s,t), hence in that
+of every minimal surjective H ⊆ f(s,t): fixpoints grow as H shrinks.
+
+Minimal surjective sets are the minimal edge covers of G(s,t) read as a
+bipartite graph, generated lazily, smallest first; each one tried is
+charged to the node budget, and exceeding it raises instead of returning
+a wrong verdict.  `brute_force_bisim` is an independent oracle for tiny
+inputs that literally enumerates relations Z and functions f.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -85,7 +93,8 @@ class _Budget:
 
 
 class _PairLevel:
-    """Search data for one (left model, right model) pair."""
+    """Decision data for one (left model, right model) pair: G per world
+    pair, the candidate pairs, and the fixpoint of each H tried."""
 
     def __init__(self, ctx, m, n):
         self.ctx = ctx
@@ -96,82 +105,49 @@ class _PairLevel:
         self.labels_m = tuple(m.children)
         self.labels_n = tuple(n.children)
         self.g: dict[tuple[str, str], frozenset] = {}
-        self.ok: dict[tuple[str, str], bool] = {}
-        self.viable: dict[tuple[str, str], tuple[frozenset, ...]] = {}
-        self.candidates: Optional[frozenset] = None
+        # The greatest zig/zag-closed set of locally ok pairs: every
+        # bisimulation's Z lies inside it, whatever its f.
+        self.candidates = self._refine({(u, v) for u in m.worlds for v in n.worlds if self._local_ok(u, v)})
+        self.fixpoints: dict[frozenset, frozenset] = {}
 
-    def g_table(self, u, v) -> frozenset:
-        got = self.g.get((u, v))
+    def _local_ok(self, u, v) -> bool:
+        """Atoms agree, G(u,v) is surjective and holds the constants' pairs."""
+        m, n = self.m, self.n
+        if any((u in m.valuation.get(p, frozenset())) != (v in n.valuation.get(p, frozenset()))
+               for p in self.ctx.vocab.props):
+            return False
+        g = self.g[(u, v)] = frozenset(
+            (a, b)
+            for a in self.labels_m
+            for b in self.labels_n
+            if self.ctx.decide(m.children[a], n.children[b], m.tracking[u][a], n.tracking[v][b]) is not None
+        )
+        return _surjective(g, self.labels_m, self.labels_n) and _constant_pairs(m, n, u, v, self.ctx.vocab) <= g
+
+    def fixpoint(self, h: frozenset) -> frozenset:
+        """The greatest zig/zag-closed set of candidate pairs q with h ⊆ G(q)."""
+        got = self.fixpoints.get(h)
         if got is None:
-            got = frozenset(
-                (a, b)
-                for a in self.labels_m
-                for b in self.labels_n
-                if self.ctx.decide(self.m.children[a], self.n.children[b],
-                                   self.m.tracking[u][a], self.n.tracking[v][b]).bisimilar
-            )
-            self.g[(u, v)] = got
+            alive = {q for q in self.candidates if h <= self.g[q]}
+            # The candidates are closed already, so only a drop calls for refinement.
+            got = self.candidates if len(alive) == len(self.candidates) else self._refine(alive)
+            self.fixpoints[h] = got
         return got
 
-    def local_ok(self, u, v) -> bool:
-        got = self.ok.get((u, v))
-        if got is not None:
-            return got
-        ok = all((u in self.m.valuation.get(p, frozenset())) == (v in self.n.valuation.get(p, frozenset()))
-                 for p in self.ctx.vocab.props)
-        if ok:
-            g = self.g_table(u, v)
-            ok = _surjective(g, self.labels_m, self.labels_n)
-        if ok:
-            for c in self.ctx.vocab.constants:
-                a = self.m.assignment.get(u, {}).get(c)
-                b = self.n.assignment.get(v, {}).get(c)
-                if (a is None) != (b is None):
-                    ok = False
-                    break
-                if a is not None and (a, b) not in self.g_table(u, v):
-                    ok = False
-                    break
-        self.ok[(u, v)] = ok
-        return ok
-
-    def candidate_pairs(self) -> frozenset:
-        """Pairs surviving the per-pair clauses and plain zig/zag refinement.
-
-        The refinement ignores f monotonicity, so it over-approximates Z
-        membership: anything it removes can belong to no bisimulation.
-        """
-        if self.candidates is not None:
-            return self.candidates
-        alive = {(u, v) for u in self.m.worlds for v in self.n.worlds if self.local_ok(u, v)}
+    def _refine(self, alive: set) -> frozenset:
+        """Shrink `alive` to its greatest subset closed under plain zig/zag."""
+        succ_m, succ_n = self.succ_m, self.succ_n
         changed = True
         while changed:
             changed = False
-            for (u, v) in sorted(alive):
-                zig = all(any((u2, v2) in alive for v2 in self.succ_n[v]) for u2 in self.succ_m[u])
-                zag = zig and all(any((u2, v2) in alive for u2 in self.succ_m[u]) for v2 in self.succ_n[v])
-                if not zag:
+            for (u, v) in list(alive):
+                if not (
+                    all(any((u2, v2) in alive for v2 in succ_n[v]) for u2 in succ_m[u])
+                    and all(any((u2, v2) in alive for u2 in succ_m[u]) for v2 in succ_n[v])
+                ):
                     alive.discard((u, v))
                     changed = True
-        self.candidates = frozenset(alive)
-        return self.candidates
-
-    def viable_values(self, u, v) -> tuple[frozenset, ...]:
-        """All surjective child correspondences below G(u,v), small first."""
-        got = self.viable.get((u, v))
-        if got is None:
-            g = sorted(self.g_table(u, v))
-            if len(g) > 16:
-                raise BudgetExceededError("child correspondence space too large")
-            values = []
-            for mask in range(1 << len(g)):
-                subset = frozenset(g[k] for k in range(len(g)) if mask >> k & 1)
-                if _surjective(subset, self.labels_m, self.labels_n):
-                    values.append(subset)
-            values.sort(key=lambda s: (len(s), sorted(s)))
-            got = tuple(values)
-            self.viable[(u, v)] = got
-        return got
+        return frozenset(alive)
 
 
 def _surjective(pairs, labels_m, labels_n) -> bool:
@@ -181,98 +157,115 @@ def _surjective(pairs, labels_m, labels_n) -> bool:
     )
 
 
+def _constant_pairs(m, n, u, v, vocab) -> set:
+    """The child pairs the constants name at (u, v).  A constant defined on
+    one side only gives a pair holding None, which no G contains."""
+    pairs = {(m.assignment.get(u, {}).get(c), n.assignment.get(v, {}).get(c)) for c in vocab.constants}
+    return pairs - {(None, None)}
+
+
+def _minimal_covers(g, labels_m, labels_n):
+    """Yield each minimal surjective subset of `g` once: by size, then by
+    sorted pairs.
+
+    A surjective set is minimal exactly when each of its pairs has an end
+    (a label on one side) that no other pair reaches.  Covers grow one
+    pair at a time in the sorted order of `g`, refusing a pair that would
+    take that end from a chosen pair.  Each pair reaches one or two
+    labels not yet covered, which bounds the pairs still to come.
+    """
+    edges = sorted(g)
+    last = {}  # end -> index of the last pair reaching it
+    for k, (a, b) in enumerate(edges):
+        last[0, a] = last[1, b] = k
+    if len(last) != len(labels_m) + len(labels_n):
+        return
+    degree: Counter = Counter()
+    chosen: list[tuple[str, str]] = []
+
+    def keeps_own_end(side, label):
+        # The one chosen pair at this end must own its other end.
+        pair = next(p for p in chosen if p[side] == label)
+        return degree[1 - side, pair[1 - side]] == 1
+
+    def grow(start, uncovered, todo):
+        if not todo <= uncovered <= 2 * todo:
+            return
+        if not todo:
+            yield frozenset(chosen)
+            return
+        # The uncovered end whose last pair comes first must be reached by then.
+        stop = min(last[end] for end in last if not degree[end])
+        for k in range(start, stop + 1):
+            ends = ((0, edges[k][0]), (1, edges[k][1]))
+            fresh = sum(not degree[end] for end in ends)
+            if not fresh or any(degree[end] == 1 and not keeps_own_end(*end) for end in ends):
+                continue
+            degree.update(ends)
+            chosen.append(edges[k])
+            yield from grow(k + 1, uncovered - fresh, todo - 1)
+            chosen.pop()
+            degree.subtract(ends)
+
+    # A cover has at least one pair per label of the larger side and, having
+    # at least one connected component, at most one pair fewer than labels.
+    for size in range(max(len(labels_m), len(labels_n)), max(len(last), 1)):
+        yield from grow(0, len(last), size)
+
+
 class _Ctx:
     def __init__(self, vocab: Vocabulary, budget: _Budget):
         self.vocab = vocab
         self.budget = budget
         # Keyed by the model objects, which hash by identity.
         self.levels: dict[tuple[GenealogicalModel, GenealogicalModel], _PairLevel] = {}
-        self.verdicts: dict[tuple[GenealogicalModel, GenealogicalModel, str, str], BisimVerdict] = {}
+        self.covers: dict[tuple[GenealogicalModel, GenealogicalModel, str, str], Optional[frozenset]] = {}
+        self.witnesses: dict[tuple[GenealogicalModel, GenealogicalModel, str, str], BisimWitness] = {}
 
-    def level(self, m, n) -> _PairLevel:
-        key = (m, n)
-        got = self.levels.get(key)
-        if got is None:
-            got = _PairLevel(self, m, n)
-            self.levels[key] = got
-        return got
-
-    def decide(self, m, n, s, t) -> BisimVerdict:
+    def decide(self, m, n, s, t) -> Optional[frozenset]:
+        """The first minimal surjective H ⊆ G(s,t) whose fixpoint contains
+        (s, t), or None when (m, s) and (n, t) are not bisimilar."""
         key = (m, n, s, t)
-        got = self.verdicts.get(key)
-        if got is None:
-            got = self._search(self.level(m, n), s, t)
-            self.verdicts[key] = got
-        return got
+        if key not in self.covers:
+            if (m, n) not in self.levels:
+                self.levels[m, n] = _PairLevel(self, m, n)
+            self.covers[key] = self._search(self.levels[m, n], s, t)
+        return self.covers[key]
 
-    def _search(self, level: _PairLevel, s, t) -> BisimVerdict:
-        if (s, t) not in level.candidate_pairs():
-            return BisimVerdict(False, None)
-        committed: dict[tuple[str, str], frozenset] = {}
+    def _search(self, level: _PairLevel, s, t) -> Optional[frozenset]:
+        if (s, t) in level.candidates:
+            for h in _minimal_covers(level.g[(s, t)], level.labels_m, level.labels_n):
+                self.budget.spend()
+                if (s, t) in level.fixpoint(h):
+                    return h
+        return None
 
-        def obligations_of(pair):
-            u, v = pair
-            obls = [("zig", pair, u2) for u2 in level.succ_m[u]]
-            obls += [("zag", pair, v2) for v2 in level.succ_n[v]]
-            return obls
-
-        def dfs(obligations) -> bool:
-            if not obligations:
-                return True
-            side, pair, w2 = obligations[0]
-            rest = obligations[1:]
-            bound = committed[pair]
-            u, v = pair
-            if side == "zig":
-                responses = [(w2, v2) for v2 in level.succ_n[v]]
-            else:
-                responses = [(u2, w2) for u2 in level.succ_m[u]]
-            for cand in responses:
-                if cand not in level.candidate_pairs():
-                    continue
-                if cand in committed:
-                    if bound <= committed[cand] and dfs(rest):
-                        return True
-                    continue
-                for value in level.viable_values(*cand):
-                    if not (bound <= value):
-                        continue
-                    self.budget.spend()
-                    committed[cand] = value
-                    if dfs(rest + obligations_of(cand)):
-                        return True
-                    del committed[cand]
-            return False
-
-        for value in level.viable_values(s, t):
-            self.budget.spend()
-            committed[(s, t)] = value
-            if dfs(obligations_of((s, t))):
-                return BisimVerdict(True, self._witness(level, committed))
-            committed.clear()
-        return BisimVerdict(False, None)
-
-    def _witness(self, level: _PairLevel, committed) -> BisimWitness:
+    def witness(self, m, n, s, t) -> BisimWitness:
+        """The witness of a pair `decide` found bisimilar, with H its cover:
+        Z holds the pairs reached from (s, t) by answering every zig/zag
+        step with its first successor pair in H's fixpoint, and f ≡ H."""
+        key = (m, n, s, t)
+        got = self.witnesses.get(key)
+        if got is not None:
+            return got
+        level, h = self.levels[m, n], self.covers[key]
+        inside = level.fixpoint(h)
+        z, todo = {(s, t)}, [(s, t)]
+        while todo:
+            u, v = todo.pop()
+            responses = [next((u2, v2) for v2 in level.succ_n[v] if (u2, v2) in inside) for u2 in level.succ_m[u]]
+            responses += [next((u2, v2) for u2 in level.succ_m[u] if (u2, v2) in inside) for v2 in level.succ_n[v]]
+            for pair in responses:
+                if pair not in z:
+                    z.add(pair)
+                    todo.append(pair)
         child_witnesses = {}
-        for (u, v), pairs in committed.items():
-            needed = set(pairs)
-            for c in self.vocab.constants:
-                a = level.m.assignment.get(u, {}).get(c)
-                b = level.n.assignment.get(v, {}).get(c)
-                if a is not None and b is not None:
-                    needed.add((a, b))
-            for a, b in needed:
-                wa = level.m.tracking[u][a]
-                wb = level.n.tracking[v][b]
-                key = (a, b, wa, wb)
-                if key not in child_witnesses:
-                    verdict = self.decide(level.m.children[a], level.n.children[b], wa, wb)
-                    child_witnesses[key] = verdict.witness
-        return BisimWitness(
-            z=frozenset(committed),
-            f={pair: frozenset(value) for pair, value in committed.items()},
-            child_witnesses=child_witnesses,
-        )
+        for (u, v) in z:
+            for a, b in h | _constant_pairs(m, n, u, v, self.vocab):
+                wa, wb = m.tracking[u][a], n.tracking[v][b]
+                child_witnesses[a, b, wa, wb] = self.witness(m.children[a], n.children[b], wa, wb)
+        got = self.witnesses[key] = BisimWitness(z=frozenset(z), f=dict.fromkeys(z, h), child_witnesses=child_witnesses)
+        return got
 
 
 def bisimilar(
@@ -287,7 +280,9 @@ def bisimilar(
     if vocab is None:
         vocab = _union_vocab(pm.model, pn.model)
     ctx = _Ctx(vocab, _Budget(budget))
-    return ctx.decide(pm.model, pn.model, pm.world, pn.world)
+    if ctx.decide(pm.model, pn.model, pm.world, pn.world) is None:
+        return BisimVerdict(False, None)
+    return BisimVerdict(True, ctx.witness(pm.model, pn.model, pm.world, pn.world))
 
 
 # --------------------------------------------------------------------------
@@ -301,15 +296,16 @@ def check_witness(
     vocab: Optional[Vocabulary] = None,
 ) -> WitnessReport:
     """Mechanically verify every bisimulation clause of a candidate witness,
-    recursing into its child witnesses."""
+    recursing into its child witnesses.  A child witness shared by several
+    pairs is checked once per call, so its failures are reported once."""
     if vocab is None:
         vocab = _union_vocab(pm.model, pn.model)
     failures: list[tuple[str, str]] = []
-    _check_into(pm.model, pn.model, pm.world, pn.world, witness, vocab, "", failures)
+    _check_into(pm.model, pn.model, pm.world, pn.world, witness, vocab, "", failures, set())
     return WitnessReport(not failures, tuple(failures))
 
 
-def _check_into(m, n, s, t, w, vocab, where, failures):
+def _check_into(m, n, s, t, w, vocab, where, failures, done):
     def fail(tag, message):
         failures.append((tag, f"{where}{message}"))
 
@@ -342,7 +338,7 @@ def _check_into(m, n, s, t, w, vocab, where, failures):
                 fail("children", f"f(({u}, {v})) mentions unknown child pair ({a}, {b})")
                 continue
             wa, wb = m.tracking[u][a], n.tracking[v][b]
-            _check_child(m, n, a, b, wa, wb, w, vocab, where, failures, "children")
+            _check_child(m, n, a, b, wa, wb, w, vocab, where, failures, done, "children")
         for c in sorted(vocab.constants):
             ca = m.assignment.get(u, {}).get(c)
             cb = n.assignment.get(v, {}).get(c)
@@ -350,7 +346,7 @@ def _check_into(m, n, s, t, w, vocab, where, failures):
                 fail("constants", f"constant {c!r} defined on one side only at ({u}, {v})")
             elif ca is not None:
                 wa, wb = m.tracking[u][ca], n.tracking[v][cb]
-                _check_child(m, n, ca, cb, wa, wb, w, vocab, where, failures, "constants")
+                _check_child(m, n, ca, cb, wa, wb, w, vocab, where, failures, done, "constants")
         for u2 in succ_m[u]:
             if not any(
                 (u2, v2) in w.z and pairs <= w.f.get((u2, v2), frozenset())
@@ -365,12 +361,15 @@ def _check_into(m, n, s, t, w, vocab, where, failures):
                 fail("zag", f"no monotone response in Z for {v} -> {v2} from ({u}, {v})")
 
 
-def _check_child(m, n, a, b, wa, wb, w, vocab, where, failures, tag):
+def _check_child(m, n, a, b, wa, wb, w, vocab, where, failures, done, tag):
     child = w.child_witnesses.get((a, b, wa, wb))
     if child is None:
         failures.append((tag, f"{where}missing child witness for ({a}, {b}) at ({wa}, {wb})"))
         return
-    _check_into(m.children[a], n.children[b], wa, wb, child, vocab, f"{where}{a}|{b}|{wa}|{wb}: ", failures)
+    key = (m.children[a], n.children[b], wa, wb, id(child))
+    if key not in done:
+        done.add(key)
+        _check_into(m.children[a], n.children[b], wa, wb, child, vocab, f"{where}{a}|{b}|{wa}|{wb}: ", failures, done)
 
 
 # --------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 Subcommands: validate, eval, bisim, distinguish, gen, fmt.  Exit codes:
 0 the property holds / models bisimilar / document valid; 1 it fails /
 not bisimilar / invalid; 2 input error; 3 search budget exhausted (an
-explicit unknown, never conflated with 0 or 1).  With `--json` every
-result is a single JSON line with sorted keys, bit-stable across runs;
-otherwise output is human text.  Environment variables GKMC_BISIM_BUDGET,
-GKMC_MAX_DEPTH and GKMC_MAX_MODAL_DEPTH set default budget caps.
+explicit unknown, never conflated with 0 or 1); 4 internal error (an
+unexpected exception, a witness failing its check or an oracle
+disagreement; never a verdict).  With `--json` every result is a single
+JSON line with sorted keys, bit-stable across runs; otherwise output is
+human text.  Environment variables GKMC_BISIM_BUDGET, GKMC_MAX_DEPTH and
+GKMC_MAX_MODAL_DEPTH set default budget caps.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .bisim import (
     DEFAULT_BUDGET,
@@ -38,7 +41,7 @@ from .model import (
 from .semantics import NotASentenceError, evaluate_sentence
 from .syntax import ParseError, Vocabulary, check_sentence, format_formula, parse
 
-OK, FAIL, INPUT_ERROR, UNKNOWN = 0, 1, 2, 3
+OK, FAIL, INPUT_ERROR, UNKNOWN, INTERNAL = 0, 1, 2, 3, 4
 
 
 class _Output:
@@ -169,7 +172,7 @@ def _cmd_bisim(args, out) -> int:
                 {"error": "oracle-disagreement", "search": verdict.bisimilar, "oracle": oracle},
                 f"ORACLE DISAGREEMENT: search says {verdict.bisimilar}, brute force says {oracle}",
             )
-            return INPUT_ERROR
+            return INTERNAL
 
     if verdict.bisimilar:
         if args.witness:
@@ -183,7 +186,7 @@ def _cmd_bisim(args, out) -> int:
                 {"error": "witness-check-failed", "failures": [list(f) for f in report.failures]},
                 "internal error: produced witness fails verification",
             )
-            return INPUT_ERROR
+            return INTERNAL
         out.emit({"bisimilar": True}, "bisimilar")
         return OK
     out.emit({"bisimilar": False}, "not bisimilar")
@@ -320,6 +323,11 @@ def main(argv=None) -> int:
     except (ParseError, DocumentFormatError, NotASentenceError, ValueError) as exc:
         out.emit({"error": "input", "message": str(exc)}, f"error: {exc}")
         return INPUT_ERROR
+    except Exception as exc:  # a crash must not read as a verdict
+        traceback.print_exc(file=sys.stderr)
+        message = f"{type(exc).__name__}: {exc}"
+        out.emit({"error": "internal", "message": message}, f"internal error: {message}")
+        return INTERNAL
 
 
 def entry():

@@ -22,7 +22,6 @@ deterministic, so concurrent duplication is merely wasted work).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping, Optional
 
 from .model import GenealogicalModel
@@ -76,45 +75,38 @@ class InterpretationPair:
 EMPTY_INTERPRETATION = InterpretationPair({}, {})
 
 
-@lru_cache(maxsize=None)
-def _model_var_deps(f: Formula) -> frozenset[str]:
-    """Model variables whose current binding can influence the value of f.
+def _var_deps(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
+    """The model and the formula variables whose current binding can
+    influence the value of f, cached on the node.
 
     Query bodies are evaluated under an empty model-variable map, so they
-    contribute nothing; only the query's own term and unshadowed uses under
-    `forall` remain.
+    contribute no model variables; only the query's own term and
+    unshadowed uses under `forall` remain.
     """
-    if isinstance(f, QueryVar):
-        return frozenset((f.var,))
-    if isinstance(f, QueryConst):
-        return frozenset()
-    if isinstance(f, Forall):
-        return _model_var_deps(f.body) - {f.var}
-    if isinstance(f, Xi):
-        return _model_var_deps(f.body)
-    if isinstance(f, (Not, Box)):
-        return _model_var_deps(f.operand)
-    if isinstance(f, And):
-        return _model_var_deps(f.left) | _model_var_deps(f.right)
-    return frozenset()
-
-
-@lru_cache(maxsize=None)
-def _formula_var_deps(f: Formula) -> frozenset[str]:
-    """Formula variables whose current binding can influence the value of f."""
+    try:
+        return f._deps
+    except AttributeError:
+        pass
     if isinstance(f, FormulaVar):
-        return frozenset((f.name,))
-    if isinstance(f, Xi):
-        return _formula_var_deps(f.body) - {f.var}
-    if isinstance(f, Forall):
-        return _formula_var_deps(f.body)
-    if isinstance(f, (QueryVar, QueryConst)):
-        return _formula_var_deps(f.body)
-    if isinstance(f, (Not, Box)):
-        return _formula_var_deps(f.operand)
-    if isinstance(f, And):
-        return _formula_var_deps(f.left) | _formula_var_deps(f.right)
-    return frozenset()
+        deps = (frozenset(), frozenset((f.name,)))
+    elif isinstance(f, (QueryVar, QueryConst)):
+        own = frozenset((f.var,)) if isinstance(f, QueryVar) else frozenset()
+        deps = (own, _var_deps(f.body)[1])
+    elif isinstance(f, Forall):
+        mdeps, fdeps = _var_deps(f.body)
+        deps = (mdeps - {f.var}, fdeps)
+    elif isinstance(f, Xi):
+        mdeps, fdeps = _var_deps(f.body)
+        deps = (mdeps, fdeps - {f.var})
+    elif isinstance(f, (Not, Box)):
+        deps = _var_deps(f.operand)
+    elif isinstance(f, And):
+        (lm, lf), (rm, rf) = _var_deps(f.left), _var_deps(f.right)
+        deps = (lm | rm, lf | rf)
+    else:
+        deps = (frozenset(), frozenset())
+    object.__setattr__(f, "_deps", deps)
+    return deps
 
 
 class Evaluator:
@@ -167,8 +159,7 @@ class Evaluator:
     def _eval(self, m, f, mv: dict, fv: dict) -> frozenset[str]:
         if self._memo is None:
             return self._clause(m, f, mv, fv)
-        mdeps = _model_var_deps(f)
-        fdeps = _formula_var_deps(f)
+        mdeps, fdeps = _var_deps(f)
         key = (
             m,
             f,

@@ -47,15 +47,16 @@ from typing import Iterator, Optional
 class Formula:
     """Base class of formula nodes.
 
-    Two slots cache per-node facts that never change once the node
-    exists: `_hash`, filled by the first `hash()`, and `_sentence`,
-    filled by the first `check_sentence`.  They are not dataclass fields,
-    so equality, `repr`, `fields()`, `__match_args__` and the pickled
-    state of a node ignore them; an unpickled or copied node fills them
-    again on first use.  Racing threads at worst compute a value twice.
+    Slots cache per-node facts that never change once the node exists:
+    `_hash` (first `hash()`), `_sentence` (first `check_sentence`) and
+    `_deps` (the variables the evaluator finds the value depends on).
+    They are not dataclass fields, so equality, `repr`, `fields()`,
+    `__match_args__` and the pickled state of a node ignore them; an
+    unpickled or copied node fills them again on first use.  Racing
+    threads at worst compute a value twice.
     """
 
-    __slots__ = ("_hash", "_sentence")
+    __slots__ = ("_hash", "_sentence", "_deps")
 
     def __hash__(self) -> int:
         try:

@@ -1,8 +1,11 @@
+import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkmc.bisim import (
+    DEFAULT_BUDGET,
     BisimWitness,
     BudgetExceededError,
     OracleSizeError,
@@ -12,6 +15,7 @@ from gkmc.bisim import (
     witness_from_document,
     witness_to_document,
 )
+from gkmc.bisim import _minimal_covers, _surjective
 from gkmc.generate import GenSpec, break_child, dup_child, gen_model
 from gkmc.model import GenealogicalModel, PointedModel, load_model
 from gkmc.syntax import Vocabulary
@@ -249,3 +253,65 @@ def test_witness_document_is_deterministic(de_dicto):
     a = witness_to_document(bisimilar(pm, pm).witness)
     b = witness_to_document(bisimilar(pm, pm).witness)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+# --- child correspondences ------------------------------------------------
+
+
+def test_many_identical_children_bisimilar_to_self():
+    # G(w, w) is the complete 5x5 graph, with thousands of surjective subsets.
+    labels = [f"n{k}" for k in range(5)]
+    m = load_model(json.dumps({
+        "worlds": ["w"],
+        "children": {label: {"worlds": ["u"]} for label in labels},
+        "tracking": {"w": {label: "u" for label in labels}},
+    }))
+    pm = _pointed(m)
+    verdict = bisimilar(pm, pm)
+    assert verdict.bisimilar
+    assert check_witness(pm, pm, verdict.witness).ok
+
+
+def test_wide_generated_dup_child_bisimilar_within_default_budget():
+    m = gen_model(GenSpec(seed=0, max_worlds=16, max_children=6, max_depth=3, edge_density=0.4))
+    d = dup_child(m, sorted(m.children)[0])
+    pm, pd = _pointed(m), _pointed(d)
+    verdict = bisimilar(pm, pd, budget=DEFAULT_BUDGET)
+    assert verdict.bisimilar
+    assert check_witness(pm, pd, verdict.witness).ok
+
+
+def _brute_minimal_covers(g, labels_m, labels_n):
+    edges = sorted(g)
+    covers = [
+        frozenset(c)
+        for k in range(len(edges) + 1)
+        for c in itertools.combinations(edges, k)
+        if _surjective(c, labels_m, labels_n)
+    ]
+    minimal = [c for c in covers if not any(o < c for o in covers)]
+    return sorted(minimal, key=lambda c: (len(c), sorted(c)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2**16 - 1))
+def test_minimal_covers_match_exhaustive_filter(left, right, mask):
+    labels_m = tuple(f"a{k}" for k in range(left))
+    labels_n = tuple(f"b{k}" for k in range(right))
+    all_pairs = [(a, b) for a in labels_m for b in labels_n]
+    g = frozenset(p for k, p in enumerate(all_pairs) if mask >> k & 1)
+    assert list(_minimal_covers(g, labels_m, labels_n)) == _brute_minimal_covers(g, labels_m, labels_n)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(st.integers(0, 10_000), st.integers(0, 3))
+def test_wider_generated_models_bisimilar_to_themselves_and_dup_child(seed, pick):
+    m = gen_model(GenSpec(seed=seed, max_worlds=8, max_children=4, max_depth=2, edge_density=0.4))
+    pairs = [(PointedModel(m, w), PointedModel(m, w)) for w in m.worlds]
+    if m.children:
+        d = dup_child(m, sorted(m.children)[pick % len(m.children)])
+        pairs += [(PointedModel(m, w), PointedModel(d, w)) for w in m.worlds]
+    for pa, pb in pairs:
+        verdict = bisimilar(pa, pb)
+        assert verdict.bisimilar
+        assert check_witness(pa, pb, verdict.witness).ok

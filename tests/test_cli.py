@@ -4,7 +4,8 @@ import pytest
 
 from gkmc.cli import main
 from gkmc.bisim import check_witness, witness_from_document
-from gkmc.model import PointedModel, load_model, load_model_file
+from gkmc.generate import GenSpec, dup_child, gen_model
+from gkmc.model import PointedModel, dump_model, load_model, load_model_file
 
 from conftest import fixture_path
 
@@ -256,3 +257,29 @@ def test_exit_codes_never_conflate_unknown(capsys):
         fixture_path("deadlock.gkm.json"), "s0",
     )
     assert code == 1
+
+
+def test_bisim_wide_generated_dup_child(capsys, tmp_path):
+    m = gen_model(GenSpec(seed=0, max_worlds=16, max_children=6, max_depth=3, edge_density=0.4))
+    left, right = tmp_path / "m.gkm.json", tmp_path / "dup.gkm.json"
+    left.write_text(dump_model(m))
+    right.write_text(dump_model(dup_child(m, sorted(m.children)[0])))
+    code, out = run(capsys, "--json", "bisim", str(left), m.worlds[0], str(right), m.worlds[0])
+    assert code == 0
+    assert json.loads(out) == {"bisimilar": True}
+
+
+def test_unexpected_exception_is_internal_not_a_verdict(capsys, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("gkmc.cli.bisimilar", crash)
+    code, out = run(
+        capsys,
+        "--json",
+        "bisim",
+        fixture_path("de_dicto.gkm.json"), "s0",
+        fixture_path("de_dicto.gkm.json"), "s0",
+    )
+    assert code == 4
+    assert json.loads(out) == {"error": "internal", "message": "RuntimeError: boom"}

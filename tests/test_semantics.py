@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from gkmc.generate import GenSpec, gen_model, gen_sentence
@@ -14,6 +16,7 @@ from gkmc.semantics import (
 )
 from gkmc.syntax import (
     And,
+    Formula,
     FormulaVar,
     Not,
     Prop,
@@ -193,3 +196,18 @@ def test_query_const_example_from_figure(de_dicto):
     assert evaluate_sentence(de_dicto, QueryConst(Prop("r"), "c")) == frozenset(
         {"s0", "s1", "s2"}
     )
+
+
+def test_one_shot_evaluation_keeps_no_formula_alive():
+    # Per-node caches die with their node: nothing module-level holds
+    # evaluated formulas once the caller drops them.
+    def live_formulas():
+        gc.collect()
+        return sum(1 for o in gc.get_objects() if isinstance(o, Formula))
+
+    m = gen_model(GenSpec(seed=3, max_worlds=4, max_children=2, max_depth=2, prop_count=2))
+    evaluate_sentence(m, gen_sentence(0, VOCAB, max_connectives=12))
+    before = live_formulas()
+    for seed in range(1, 51):
+        evaluate_sentence(m, gen_sentence(seed, VOCAB, max_connectives=12))
+    assert live_formulas() <= before
