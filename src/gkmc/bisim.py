@@ -70,11 +70,6 @@ class WitnessReport:
     failures: tuple[tuple[str, str], ...]  # (clause tag, message)
 
 
-def _union_vocab(m: GenealogicalModel, n: GenealogicalModel) -> Vocabulary:
-    vm, vn = model_vocabulary(m), model_vocabulary(n)
-    return Vocabulary(vm.props | vn.props, vm.constants | vn.constants)
-
-
 def _successors(m: GenealogicalModel) -> dict[str, tuple[str, ...]]:
     table: dict[str, list[str]] = {w: [] for w in m.worlds}
     for a, b in sorted(m.relation):
@@ -278,7 +273,7 @@ def bisimilar(
     `check_witness` accepts.  Raises `BudgetExceededError` on cutoff rather
     than guessing."""
     if vocab is None:
-        vocab = _union_vocab(pm.model, pn.model)
+        vocab = model_vocabulary(pm.model, pn.model)
     ctx = _Ctx(vocab, _Budget(budget))
     if ctx.decide(pm.model, pn.model, pm.world, pn.world) is None:
         return BisimVerdict(False, None)
@@ -299,7 +294,7 @@ def check_witness(
     recursing into its child witnesses.  A child witness shared by several
     pairs is checked once per call, so its failures are reported once."""
     if vocab is None:
-        vocab = _union_vocab(pm.model, pn.model)
+        vocab = model_vocabulary(pm.model, pn.model)
     failures: list[tuple[str, str]] = []
     _check_into(pm.model, pn.model, pm.world, pn.world, witness, vocab, "", failures, set())
     return WitnessReport(not failures, tuple(failures))
@@ -435,7 +430,7 @@ def brute_force_bisim(
                 raise OracleSizeError("child count exceeds oracle guard (2)")
             stack.extend(node.children.values())
     if vocab is None:
-        vocab = _union_vocab(m, n)
+        vocab = model_vocabulary(m, n)
     memo: dict[tuple[GenealogicalModel, GenealogicalModel, str, str], bool] = {}
     return _bf_decide(m, n, pm.world, pn.world, vocab, memo)
 

@@ -2,7 +2,8 @@
 
 Subcommands: validate, eval, bisim, distinguish, gen, fmt.  Exit codes:
 0 the property holds / models bisimilar / document valid; 1 it fails /
-not bisimilar / invalid; 2 input error; 3 search budget exhausted (an
+not bisimilar / invalid; 2 input error, a formula nested deeper than
+`syntax.MAX_NESTING` included; 3 search budget exhausted (an
 explicit unknown, never conflated with 0 or 1); 4 internal error (an
 unexpected exception, a witness failing its check or an oracle
 disagreement; never a verdict).  With `--json` every result is a single
@@ -147,8 +148,7 @@ def _cmd_bisim(args, out) -> int:
             if not (mentioned.props <= vocab.props and mentioned.constants <= vocab.constants):
                 raise _InputError(f"model {path} mentions names outside the vocabulary")
     else:
-        vm, vn = model_vocabulary(m), model_vocabulary(n)
-        vocab = Vocabulary(vm.props | vn.props, vm.constants | vn.constants)
+        vocab = model_vocabulary(m, n)
     if args.world1 not in m.worlds:
         raise _InputError(f"unknown world {args.world1!r} in {args.model1}")
     if args.world2 not in n.worlds:
@@ -196,8 +196,7 @@ def _cmd_bisim(args, out) -> int:
 def _cmd_distinguish(args, out) -> int:
     m = _load_valid_model(args.model1)
     n = _load_valid_model(args.model2)
-    vm, vn = model_vocabulary(m), model_vocabulary(n)
-    vocab = Vocabulary(vm.props | vn.props, vm.constants | vn.constants)
+    vocab = model_vocabulary(m, n)
     if args.world1 not in m.worlds:
         raise _InputError(f"unknown world {args.world1!r} in {args.model1}")
     if args.world2 not in n.worlds:

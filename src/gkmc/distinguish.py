@@ -44,6 +44,7 @@ from .syntax import (
     diamond,
     exists,
     format_formula,
+    free_vars,
 )
 
 _MODEL_VARS = ("x", "y", "z", "w")
@@ -74,25 +75,6 @@ class EnumerationBudget:
 _Ctx = tuple[tuple[str, ...], frozenset, frozenset]
 
 
-def _uses_var(f: Formula, name: str) -> bool:
-    stack = [f]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, FormulaVar) and node.name == name:
-            return True
-        if isinstance(node, (Not, Box)):
-            stack.append(node.operand)
-        elif isinstance(node, And):
-            stack.append(node.left)
-            stack.append(node.right)
-        elif isinstance(node, (Forall, QueryVar, QueryConst)):
-            stack.append(node.body)
-        elif isinstance(node, Xi):
-            if node.var != name:
-                stack.append(node.body)
-    return False
-
-
 def _rightmost_operand(f: Formula) -> Formula:
     return f.right if isinstance(f, And) else f
 
@@ -118,12 +100,6 @@ class _Enumerator:
                     self.sort_key[f] = (cost, format_formula(f))
             self.cache[key] = got
         return got
-
-    def upto(self, cost: int, modal: int, ctx: _Ctx) -> list[Formula]:
-        out = []
-        for k in range(cost + 1):
-            out.extend(self.exact(k, modal, ctx))
-        return out
 
     def _build(self, cost, modal, ctx) -> Iterator[Formula]:
         mv, ok, pending = ctx
@@ -174,7 +150,7 @@ class _Enumerator:
             fvar = _FORMULA_VARS[min(len(ok) + len(pending), len(_FORMULA_VARS) - 1)]
             xi_ctx = ((), frozenset(), frozenset((fvar,)))
             for body in self.exact(cost - 1, modal, xi_ctx):
-                if _uses_var(body, fvar):
+                if fvar in free_vars(body).formula:
                     yield Xi(fvar, body)
 
         body_ctx = ((), ok | pending, frozenset())

@@ -307,11 +307,11 @@ def depth(m: GenealogicalModel) -> int:
     return 1 + max(depth(child) for child in m.children.values())
 
 
-def model_vocabulary(m: GenealogicalModel) -> Vocabulary:
-    """Propositions and constants mentioned anywhere in the model tree."""
+def model_vocabulary(*models: GenealogicalModel) -> Vocabulary:
+    """Propositions and constants mentioned anywhere in the model trees."""
     props: set[str] = set()
     constants: set[str] = set()
-    stack = [m]
+    stack = list(models)
     while stack:
         node = stack.pop()
         props.update(node.valuation)

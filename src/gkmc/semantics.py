@@ -39,7 +39,7 @@ from .syntax import (
     Top,
     Xi,
     check_sentence,
-    format_formula,
+    free_vars,
 )
 
 
@@ -75,49 +75,16 @@ class InterpretationPair:
 EMPTY_INTERPRETATION = InterpretationPair({}, {})
 
 
-def _var_deps(f: Formula) -> tuple[frozenset[str], frozenset[str]]:
-    """The model and the formula variables whose current binding can
-    influence the value of f, cached on the node.
-
-    Query bodies are evaluated under an empty model-variable map, so they
-    contribute no model variables; only the query's own term and
-    unshadowed uses under `forall` remain.
-    """
-    try:
-        return f._deps
-    except AttributeError:
-        pass
-    if isinstance(f, FormulaVar):
-        deps = (frozenset(), frozenset((f.name,)))
-    elif isinstance(f, (QueryVar, QueryConst)):
-        own = frozenset((f.var,)) if isinstance(f, QueryVar) else frozenset()
-        deps = (own, _var_deps(f.body)[1])
-    elif isinstance(f, Forall):
-        mdeps, fdeps = _var_deps(f.body)
-        deps = (mdeps - {f.var}, fdeps)
-    elif isinstance(f, Xi):
-        mdeps, fdeps = _var_deps(f.body)
-        deps = (mdeps, fdeps - {f.var})
-    elif isinstance(f, (Not, Box)):
-        deps = _var_deps(f.operand)
-    elif isinstance(f, And):
-        (lm, lf), (rm, rf) = _var_deps(f.left), _var_deps(f.right)
-        deps = (lm | rm, lf | rf)
-    else:
-        deps = (frozenset(), frozenset())
-    object.__setattr__(f, "_deps", deps)
-    return deps
-
-
 class Evaluator:
     """Evaluates formulas, optionally sharing a memo table across calls.
 
     Memo entries are keyed by the model object (models hash by identity),
-    the formula, and both interpretations restricted to the variables the
-    formula can actually consult, so results are reused across worlds,
-    sibling conjuncts and whole sentence streams.  The tables hold the
-    models they have seen for the evaluator's lifetime.  The memoized
-    path is validated against the unmemoized one in the test suite.
+    the formula, and both interpretations restricted to the formula's free
+    variables (its `free_vars` summary, a superset of what its value can
+    depend on), so results are reused across worlds, sibling conjuncts and
+    whole sentence streams.  The tables hold the models they have seen for
+    the evaluator's lifetime.  The memoized path is validated against the
+    unmemoized one in the test suite.
 
     `sentence_worlds` checks its argument with `check_sentence`, whose
     verdict is cached on the formula node, so evaluating an already
@@ -159,7 +126,7 @@ class Evaluator:
     def _eval(self, m, f, mv: dict, fv: dict) -> frozenset[str]:
         if self._memo is None:
             return self._clause(m, f, mv, fv)
-        mdeps, fdeps = _var_deps(f)
+        mdeps, _, fdeps, _ = free_vars(f)
         key = (
             m,
             f,
@@ -191,8 +158,6 @@ class Evaluator:
             succ = self._successors(m)
             return frozenset(w for w in m.worlds if succ[w] <= inner)
         if isinstance(f, Forall):
-            if not m.children:
-                return self._worlds(m)
             result = self._worlds(m)
             for label in m.children:
                 result &= self._eval(m, f.body, {**mv, f.var: label}, fv)

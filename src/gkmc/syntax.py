@@ -28,35 +28,40 @@ term `t`; `#name` is a model constant, a bare name a model variable.
 Derived forms (`F`, `|`, `->`, `<>`, `exists`) expand to the primitive
 connectives at parse time and never appear in stored trees.
 
+Nesting is bounded by `MAX_NESTING`: every parenthesis group, prefix
+operator, binder, `?[ ]` body and `->` right operand opens one parser
+level, and the stored tree, derived forms expanded, is at most
+`MAX_NESTING` edges deep.  Deeper input is a `GrammarError`, so no later
+recursive walk exhausts the stack.
+
 Formula values are immutable and compare structurally; there is no
 alpha-equivalence.  Trees built separately (by `parse` or by the
 constructors) are equal and hash equal when their structure is, and
 nodes of different types never compare equal.  Each node caches its
-hash and its `check_sentence` result the first time they are asked for
-(see `Formula`), so a tree shared by many memo tables, sets and checks
-pays for each once.
+hash, its free-variable summary and its `check_sentence` result the
+first time they are asked for (see `Formula`), so a tree shared by many
+memo tables, sets and checks pays for each once.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 
 class Formula:
     """Base class of formula nodes.
 
     Slots cache per-node facts that never change once the node exists:
-    `_hash` (first `hash()`), `_sentence` (first `check_sentence`) and
-    `_deps` (the variables the evaluator finds the value depends on).
-    They are not dataclass fields, so equality, `repr`, `fields()`,
-    `__match_args__` and the pickled state of a node ignore them; an
-    unpickled or copied node fills them again on first use.  Racing
-    threads at worst compute a value twice.
+    `_hash` (first `hash()`), `_free` (first `free_vars`) and `_sentence`
+    (first `check_sentence`).  They are not dataclass fields, so equality,
+    `repr`, `fields()`, `__match_args__` and the pickled state of a node
+    ignore them; an unpickled or copied node fills them again on first
+    use.  Racing threads at worst compute a value twice.
     """
 
-    __slots__ = ("_hash", "_sentence", "_deps")
+    __slots__ = ("_hash", "_free", "_sentence")
 
     def __hash__(self) -> int:
         try:
@@ -267,11 +272,17 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+MAX_NESTING = 100  # parser levels and tree depth; see the module docstring
+_PREFIX = {"tilde": Not, "box": Box, "diamond": diamond}
+_BINDERS = {"forall": Forall, "exists": exists, "xi": Xi}
+
+
 class _Parser:
     def __init__(self, tokens: list[_Token], vocab: Optional[Vocabulary]):
         self.tokens = tokens
         self.pos = 0
         self.vocab = vocab
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -287,11 +298,20 @@ class _Parser:
             raise GrammarError(f"expected {what}, found {tok.text!r}" if tok.text else f"expected {what}, found end of input", tok.line, tok.col)
         return self.advance()
 
+    def nested(self, parse_part):
+        """`parse_part()` one level deeper; an error past `MAX_NESTING`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise GrammarError(f"formula nested deeper than {MAX_NESTING} levels", self.peek().line, self.peek().col)
+        node = parse_part()
+        self.depth -= 1
+        return node
+
     def formula(self) -> Formula:
         left = self.or_level()
         if self.peek().kind == "arrow":
             self.advance()
-            return imp(left, self.formula())
+            return imp(left, self.nested(self.formula))
         return left
 
     def or_level(self) -> Formula:
@@ -310,35 +330,23 @@ class _Parser:
 
     def unary(self) -> Formula:
         tok = self.peek()
-        if tok.kind == "tilde":
+        if tok.kind in _PREFIX:
             self.advance()
-            return Not(self.unary())
-        if tok.kind == "box":
-            self.advance()
-            return Box(self.unary())
-        if tok.kind == "diamond":
-            self.advance()
-            return diamond(self.unary())
+            return _PREFIX[tok.kind](self.nested(self.unary))
         if tok.kind == "qopen":
             self.advance()
-            body = self.formula()
+            body = self.nested(self.formula)
             self.expect("rbrack", "']'")
             return self.query_term(body)
-        if tok.kind == "lident" and tok.text in ("forall", "exists"):
+        if tok.kind == "lident" and tok.text in _BINDERS:
             self.advance()
-            var = self.binder_name("lident", "a model variable")
+            var = self.binder_name("uident" if tok.text == "xi" else "lident")
             self.expect("dot", "'.'")
-            body = self.unary()
-            return Forall(var, body) if tok.text == "forall" else exists(var, body)
-        if tok.kind == "lident" and tok.text == "xi":
-            self.advance()
-            var = self.binder_name("uident", "a formula variable")
-            self.expect("dot", "'.'")
-            return Xi(var, self.unary())
+            return _BINDERS[tok.text](var, self.nested(self.unary))
         return self.atom()
 
-    def binder_name(self, kind: str, what: str) -> str:
-        tok = self.expect(kind, what)
+    def binder_name(self, kind: str) -> str:
+        tok = self.expect(kind, "a formula variable" if kind == "uident" else "a model variable")
         if kind == "lident" and tok.text in KEYWORDS:
             raise GrammarError(f"keyword {tok.text!r} cannot be a variable", tok.line, tok.col)
         if kind == "uident" and tok.text in ("T", "F"):
@@ -366,7 +374,7 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "lparen":
             self.advance()
-            node = self.formula()
+            node = self.nested(self.formula)
             self.expect("rparen", "')'")
             return node
         if tok.kind == "uident":
@@ -393,6 +401,14 @@ def parse(text: str, vocab: Optional[Vocabulary] = None) -> Formula:
     tok = parser.peek()
     if tok.kind != "eof":
         raise GrammarError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+    # A token adds at most three tree levels, so short input needs no walk.
+    if 3 * len(parser.tokens) > MAX_NESTING:
+        level, depth = [node], -1
+        while level:
+            depth += 1
+            level = [child for f in level for child in _children(f)]
+        if depth > MAX_NESTING:
+            raise GrammarError(f"formula nested deeper than {MAX_NESTING} levels", 1, 1)
     return node
 
 
@@ -446,21 +462,23 @@ def _fmt(f: Formula, required: int) -> str:
 NodePath = tuple[int, ...]
 
 
+def _children(f: Formula) -> tuple[Formula, ...]:
+    if isinstance(f, (Not, Box)):
+        return (f.operand,)
+    if isinstance(f, And):
+        return (f.left, f.right)
+    if isinstance(f, (Forall, Xi, QueryVar, QueryConst)):
+        return (f.body,)
+    return ()
+
+
 def subformulas(f: Formula) -> Iterator[tuple[NodePath, Formula]]:
     """All subformulas in preorder, each with its position path from the root."""
     stack = [((), f)]
     while stack:
         path, node = stack.pop()
         yield path, node
-        if isinstance(node, (Not, Box)):
-            stack.append((path + (0,), node.operand))
-        elif isinstance(node, And):
-            stack.append((path + (1,), node.right))
-            stack.append((path + (0,), node.left))
-        elif isinstance(node, (Forall, Xi)):
-            stack.append((path + (0,), node.body))
-        elif isinstance(node, (QueryVar, QueryConst)):
-            stack.append((path + (0,), node.body))
+        stack.extend(reversed([(path + (i,), child) for i, child in enumerate(_children(node))]))
 
 
 @dataclass(frozen=True)
@@ -486,32 +504,76 @@ def occurrences(f: Formula) -> list[Occurrence]:
     while stack:
         node, path, mvars, xi_outer, xi_inner, in_query = stack.pop()
         if isinstance(node, FormulaVar):
-            free = not (in_query and node.name in xi_outer)
-            out.append(Occurrence(path, "formula", node.name, free))
-        elif isinstance(node, (Not, Box)):
-            stack.append((node.operand, path + (0,), mvars, xi_outer, xi_inner, in_query))
-        elif isinstance(node, And):
-            stack.append((node.right, path + (1,), mvars, xi_outer, xi_inner, in_query))
-            stack.append((node.left, path + (0,), mvars, xi_outer, xi_inner, in_query))
+            out.append(Occurrence(path, "formula", node.name, not (in_query and node.name in xi_outer)))
         elif isinstance(node, Forall):
-            stack.append((node.body, path + (0,), mvars | {node.var}, xi_outer, xi_inner, in_query))
+            mvars = mvars | {node.var}
         elif isinstance(node, Xi):
-            stack.append((node.body, path + (0,), mvars, xi_outer, xi_inner | {node.var}, in_query))
-        elif isinstance(node, QueryVar):
-            out.append(Occurrence(path, "model", node.var, node.var not in mvars))
-            stack.append((node.body, path + (0,), mvars, xi_outer | xi_inner, frozenset(), True))
-        elif isinstance(node, QueryConst):
-            stack.append((node.body, path + (0,), mvars, xi_outer | xi_inner, frozenset(), True))
+            xi_inner = xi_inner | {node.var}
+        elif isinstance(node, (QueryVar, QueryConst)):
+            if isinstance(node, QueryVar):
+                out.append(Occurrence(path, "model", node.var, node.var not in mvars))
+            xi_outer, xi_inner, in_query = xi_outer | xi_inner, frozenset(), True
+        for i, child in enumerate(_children(node)):
+            stack.append((child, path + (i,), mvars, xi_outer, xi_inner, in_query))
     out.sort(key=lambda o: o.path)
     return out
 
 
+class FreeVars(NamedTuple):
+    """A node's variable summary, freeness relative to the node itself."""
+
+    model: frozenset[str]  # free model variables
+    unguarded: frozenset[str]  # free formula variables with an occurrence under no `?[ ]`
+    formula: frozenset[str]  # all free formula variables
+    ok: bool  # every `xi` subformula closed, every `?[ ]` body free of model variables
+
+
+_NONE: frozenset[str] = frozenset()
+
+
+def free_vars(f: Formula) -> FreeVars:
+    """The summary of `f`, built from its children's and cached on each node.
+
+    Agrees with `occurrences`: a `xi X` binds exactly the occurrences of
+    X that some `?[ ]` below it guards, so the unguarded ones stay free.
+    """
+    try:
+        return f._free
+    except AttributeError:
+        pass
+    if isinstance(f, FormulaVar):
+        names = frozenset((f.name,))
+        summary = FreeVars(_NONE, names, names, True)
+    elif isinstance(f, (Not, Box)):
+        summary = free_vars(f.operand)
+    elif isinstance(f, And):
+        left, right = free_vars(f.left), free_vars(f.right)
+        summary = FreeVars(
+            left.model | right.model, left.unguarded | right.unguarded, left.formula | right.formula, left.ok and right.ok
+        )
+    elif isinstance(f, Forall):
+        body = free_vars(f.body)
+        summary = body._replace(model=body.model - {f.var})
+    elif isinstance(f, Xi):
+        model, unguarded, formula, ok = free_vars(f.body)
+        formula = (formula - {f.var}) | unguarded
+        summary = FreeVars(model, unguarded, formula, ok and not model and not formula)
+    elif isinstance(f, (QueryVar, QueryConst)):
+        model, _, formula, ok = free_vars(f.body)
+        own = {f.var} if isinstance(f, QueryVar) else _NONE
+        summary = FreeVars(model | own, _NONE, formula, ok and not model)
+    else:
+        summary = FreeVars(_NONE, _NONE, _NONE, True)
+    object.__setattr__(f, "_free", summary)
+    return summary
+
+
 def free_model_vars(f: Formula) -> set[str]:
-    return {o.name for o in occurrences(f) if o.kind == "model" and o.free}
+    return set(free_vars(f).model)
 
 
 def free_formula_vars(f: Formula) -> set[str]:
-    return {o.name for o in occurrences(f) if o.kind == "formula" and o.free}
+    return set(free_vars(f).formula)
 
 
 # --------------------------------------------------------------------------
@@ -540,42 +602,37 @@ def check_sentence(f: Formula) -> SentenceDiagnostics:
 
     Three conditions, freeness always computed relative to the subformula
     under inspection: the whole formula is closed; every `xi`-subformula
-    is closed; every `?[ ]` body has no free model variables.  The result
-    is cached on `f`, so checking the same node again returns the same
-    object.
+    is closed; every `?[ ]` body has no free model variables.  The verdict
+    is read off the cached `free_vars` summary; only a rejected formula is
+    walked, for its violation paths.  Re-checking returns the same object.
     """
     cached = getattr(f, "_sentence", None)
     if cached is not None:
         return cached
-    violations: list[SentenceViolation] = []
-    for occ in occurrences(f):
-        if occ.free:
-            word = "model" if occ.kind == "model" else "formula"
-            violations.append(
-                SentenceViolation(C1_FREE_VAR, occ.path, f"free {word} variable {occ.name!r}")
-            )
-    for path, node in subformulas(f):
-        if isinstance(node, Xi):
-            loose = sorted({o.name for o in occurrences(node) if o.free})
-            if loose:
-                violations.append(
-                    SentenceViolation(
-                        C2_XI_SUBFORMULA,
-                        path,
-                        f"xi {node.var}. subformula has free variable(s): " + ", ".join(loose),
-                    )
-                )
-        elif isinstance(node, (QueryVar, QueryConst)):
-            loose = sorted(free_model_vars(node.body))
-            if loose:
-                violations.append(
-                    SentenceViolation(
-                        C3_QUERY_BODY,
-                        path,
-                        "query body has free model variable(s): " + ", ".join(loose),
-                    )
-                )
-    violations.sort(key=lambda v: (v.node, v.tag))
-    diagnostics = SentenceDiagnostics(not violations, tuple(violations))
+    model, _, formula, ok = free_vars(f)
+    closed = ok and not model and not formula
+    diagnostics = SentenceDiagnostics(closed, () if closed else _violations(f))
     object.__setattr__(f, "_sentence", diagnostics)
     return diagnostics
+
+
+def _violations(f: Formula) -> tuple[SentenceViolation, ...]:
+    violations = [
+        SentenceViolation(C1_FREE_VAR, occ.path, f"free {occ.kind} variable {occ.name!r}")
+        for occ in occurrences(f)
+        if occ.free
+    ]
+    for path, node in subformulas(f):
+        if isinstance(node, Xi):
+            summary = free_vars(node)
+            tag, loose = C2_XI_SUBFORMULA, summary.model | summary.formula
+            what = f"xi {node.var}. subformula has free variable(s)"
+        elif isinstance(node, (QueryVar, QueryConst)):
+            tag, loose = C3_QUERY_BODY, free_vars(node.body).model
+            what = "query body has free model variable(s)"
+        else:
+            continue
+        if loose:
+            violations.append(SentenceViolation(tag, path, f"{what}: " + ", ".join(sorted(loose))))
+    violations.sort(key=lambda v: (v.node, v.tag))
+    return tuple(violations)

@@ -1,11 +1,15 @@
+import contextlib
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkmc.cli import main
 from gkmc.bisim import check_witness, witness_from_document
-from gkmc.generate import GenSpec, dup_child, gen_model
+from gkmc.generate import GenSpec, dup_child, gen_model, gen_sentence
 from gkmc.model import PointedModel, dump_model, load_model, load_model_file
+from gkmc.syntax import Vocabulary, format_formula
 
 from conftest import fixture_path
 
@@ -229,6 +233,23 @@ def test_fmt_parse_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "~" * 2000 + "p",
+        "[]" * 2000 + "p",
+        "(" * 2000 + "p" + ")" * 2000,
+        "<>" * 2000 + "p",
+        " & ".join(["p"] * 2000),
+    ],
+    ids=["not", "box", "parentheses", "diamond", "and-chain"],
+)
+def test_deeply_nested_formula_is_an_input_error(capsys, text):
+    code, out = run(capsys, "--json", "fmt", text)
+    assert code == 2
+    assert "nested deeper than" in json.loads(out)["message"]
+
+
 # --- json mode --------------------------------------------------------------
 
 
@@ -283,3 +304,69 @@ def test_unexpected_exception_is_internal_not_a_verdict(capsys, monkeypatch):
     )
     assert code == 4
     assert json.loads(out) == {"error": "internal", "message": "RuntimeError: boom"}
+
+
+# --- exit-code contract over generated invocations --------------------------
+
+_TOKENS = ["p", "q", "T", "F", "X", "x", "#c", "~", "[]", "<>", "&", "|", "->", "(", ")", "?[", "]", ".",
+           "forall", "exists", "xi", "-", "@"]
+_TINY_VOCAB = Vocabulary.of(props=["p"], constants=["c"])
+_DEPTHS = st.sampled_from([33, 34, 100, 101, 200, 400, 2000])
+
+_sentence_texts = st.one_of(
+    st.lists(st.sampled_from(_TOKENS), max_size=12).map(" ".join),
+    st.text(max_size=12),
+    st.integers(0, 10**6).map(lambda seed: format_formula(gen_sentence(seed, _TINY_VOCAB, max_connectives=6))),
+    st.builds(lambda op, n: op * n + "p", st.sampled_from(["~", "[]", "<>", "forall x. ", "p & "]), _DEPTHS),
+    _DEPTHS.map(lambda n: "(" * n + "p" + ")" * n),
+)
+
+
+@pytest.fixture(scope="module")
+def tiny_models(tmp_path_factory):
+    """(path, worlds) of a few tiny generated models and one `dup_child` copy."""
+    root = tmp_path_factory.mktemp("tiny")
+    models = [gen_model(GenSpec(seed=seed, max_worlds=3, max_children=2, max_depth=1)) for seed in range(4)]
+    models.append(dup_child(models[0], sorted(models[0].children)[0]))
+    out = []
+    for k, m in enumerate(models):
+        path = root / f"m{k}.gkm.json"
+        path.write_text(dump_model(m))
+        out.append((str(path), m.worlds))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_cli_exit_code_contract_on_generated_invocations(tiny_models, data):
+    def model():
+        return data.draw(st.sampled_from(tiny_models))
+
+    def world(worlds):
+        return data.draw(st.sampled_from([*worlds, "nowhere"]))
+
+    command = data.draw(st.sampled_from(["fmt", "eval", "bisim", "distinguish"]))
+    if command in ("fmt", "eval"):
+        argv = [command, data.draw(_sentence_texts)]
+        if command == "eval":
+            path, worlds = model()
+            argv.insert(1, path)
+            if data.draw(st.booleans()):
+                argv += ["--world", world(worlds)]
+    else:
+        (p1, w1), (p2, w2) = model(), model()
+        argv = [command, p1, world(w1), p2, world(w2)]
+        if command == "distinguish":
+            argv += ["--max-depth", "2", "--max-modal-depth", "2"]
+        elif data.draw(st.booleans()):
+            argv += ["--budget", str(data.draw(st.integers(0, 3)))]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        try:
+            code = main(["--json", *argv])
+        except SystemExit as exc:  # argparse refusing the arguments
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, out.getvalue())
+    if code == 1:
+        payload = json.loads(out.getvalue())
+        assert any(payload.get(key) is False for key in ("holds", "bisimilar", "valid")), (argv, payload)

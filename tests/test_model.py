@@ -63,6 +63,12 @@ def test_model_vocabulary(de_dicto, deadlock):
     assert v2.constants == frozenset()
 
 
+def test_model_vocabulary_of_several_models_is_the_union(de_dicto, deadlock):
+    both = model_vocabulary(de_dicto, deadlock)
+    assert both.props == frozenset({"r", "a", "b"})
+    assert both.constants == frozenset({"c"})
+
+
 # --- format errors -----------------------------------------------------
 
 

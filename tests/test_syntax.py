@@ -4,7 +4,10 @@ from dataclasses import fields
 import pytest
 from hypothesis import given, strategies as st
 
+from gkmc.model import load_model
+from gkmc.semantics import evaluate_sentence
 from gkmc.syntax import (
+    MAX_NESTING,
     And,
     Box,
     Forall,
@@ -27,7 +30,9 @@ from gkmc.syntax import (
     format_formula,
     free_formula_vars,
     free_model_vars,
+    free_vars,
     imp,
+    occurrences,
     or_,
     parse,
     subformulas,
@@ -227,6 +232,40 @@ def test_formula_var_needs_query_above_binder():
     assert free_formula_vars(parse("X", VOCAB)) == {"X"}
 
 
+def _reference_summary(f):
+    """The `free_vars` fields recomputed from `occurrences` alone."""
+    nodes = dict(subformulas(f))
+    free = [o for o in occurrences(f) if o.free]
+
+    def under_query(o):
+        return any(isinstance(nodes[o.path[:i]], (QueryVar, QueryConst)) for i in range(len(o.path)))
+
+    def closed(g):
+        return not any(o.free for o in occurrences(g))
+
+    def body_has_free_model_var(g):
+        return any(o.free and o.kind == "model" for o in occurrences(g.body))
+
+    return (
+        {o.name for o in free if o.kind == "model"},
+        {o.name for o in free if o.kind == "formula" and not under_query(o)},
+        {o.name for o in free if o.kind == "formula"},
+        all(
+            closed(g) if isinstance(g, Xi) else not body_has_free_model_var(g)
+            for g in nodes.values()
+            if isinstance(g, (Xi, QueryVar, QueryConst))
+        ),
+    )
+
+
+def test_free_vars_agrees_with_occurrences():
+    for seed in range(2000):
+        f = gen_formula(seed, VOCAB, max_connectives=14)
+        model, unguarded, formula, ok = free_vars(f)
+        assert (model, unguarded, formula, ok) == _reference_summary(f), format_formula(f)
+        assert free_model_vars(f) == model and free_formula_vars(f) == formula
+
+
 def test_binding_never_introduces_freeness():
     for seed in range(200):
         f = gen_formula(seed, VOCAB, max_connectives=6)
@@ -270,6 +309,14 @@ def test_sentence_closed_under_conjunction():
         f = gen_sentence(seed, VOCAB, max_connectives=5)
         assert check_sentence(f).verdict
         assert check_sentence(And(f, f)).verdict
+
+
+def test_sentence_accepted_without_occurrence_walk(monkeypatch):
+    def refuse(f):
+        raise AssertionError("check_sentence walked occurrences of a sentence")
+
+    monkeypatch.setattr("gkmc.syntax.occurrences", refuse)
+    assert check_sentence(parse("xi X. forall x. ?[X] x", VOCAB)).verdict
 
 
 def test_violation_paths_point_at_subformulas():
@@ -329,3 +376,44 @@ def test_sentence_check_is_cached_on_the_node(text):
     f = parse(text, VOCAB)
     assert check_sentence(f) is check_sentence(f)
     assert check_sentence(parse(text, VOCAB)) == check_sentence(f)
+
+
+# --- nesting limit -------------------------------------------------------
+
+_AT_LIMIT = [
+    "~" * MAX_NESTING + "p",
+    "[]" * MAX_NESTING + "p",
+    "(" * MAX_NESTING + "p" + ")" * MAX_NESTING,
+    "<>" * (MAX_NESTING // 3) + "~" * (MAX_NESTING % 3) + "p",
+    " & ".join(["p"] * (MAX_NESTING + 1)),
+    "forall x. " * (MAX_NESTING // 2) + "[]" * (MAX_NESTING // 2) + "p",
+]
+
+_PAST_LIMIT = [
+    "~" * (MAX_NESTING + 1) + "p",
+    "[]" * (MAX_NESTING + 1) + "p",
+    "(" * (MAX_NESTING + 1) + "p" + ")" * (MAX_NESTING + 1),
+    "<>" * (MAX_NESTING // 3 + 1) + "p",
+    " & ".join(["p"] * (MAX_NESTING + 2)),
+    "p | " * MAX_NESTING + "p",
+    "p -> " * MAX_NESTING + "p",
+    "xi X. " * (MAX_NESTING + 1) + "p",
+    "?[" * (MAX_NESTING + 1) + "p" + "] #c" * (MAX_NESTING + 1),
+]
+
+
+@pytest.mark.parametrize("text", _AT_LIMIT, ids=["not", "box", "parentheses", "diamond", "and-chain", "forall-box"])
+def test_formula_at_nesting_limit_parses_formats_checks_and_evaluates(text):
+    one_world = load_model('{"worlds": ["s0"], "valuation": {"p": ["s0"]}}')
+    f = parse(text, VOCAB)
+    assert parse(format_formula(f), VOCAB) == f
+    assert check_sentence(f).verdict
+    assert evaluate_sentence(one_world, f) == evaluate_sentence(one_world, f, use_memo=False)
+
+
+@pytest.mark.parametrize(
+    "text", _PAST_LIMIT, ids=["not", "box", "parentheses", "diamond", "and-chain", "or-chain", "implication", "xi", "query"]
+)
+def test_formula_past_nesting_limit_is_a_grammar_error(text):
+    with pytest.raises(GrammarError, match="nested deeper than"):
+        parse(text, VOCAB)
