@@ -199,6 +199,20 @@ def test_distinguish_identical_exhausts(capsys):
     assert "not a bisimilarity proof" in out
 
 
+@pytest.mark.parametrize(
+    "flags,env",
+    [(["--max-depth", "-2"], None), (["--max-depth", "2", "--max-modal-depth", "-1"], None), ([], "-3")],
+    ids=["max-depth", "max-modal-depth", "GKMC_MAX_DEPTH"],
+)
+def test_distinguish_negative_budget_is_an_input_error(capsys, monkeypatch, flags, env):
+    if env is not None:
+        monkeypatch.setenv("GKMC_MAX_DEPTH", env)
+    fixture = fixture_path("de_dicto.gkm.json")
+    code, out = run(capsys, "--json", "distinguish", fixture, "s0", fixture, "s0", *flags)
+    assert code == 2
+    assert json.loads(out)["error"] == "input"
+
+
 # --- gen / fmt -------------------------------------------------------------
 
 
@@ -357,7 +371,8 @@ def test_cli_exit_code_contract_on_generated_invocations(tiny_models, data):
         (p1, w1), (p2, w2) = model(), model()
         argv = [command, p1, world(w1), p2, world(w2)]
         if command == "distinguish":
-            argv += ["--max-depth", "2", "--max-modal-depth", "2"]
+            depth, modal = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
+            argv += ["--max-depth", str(depth), "--max-modal-depth", str(modal)]
         elif data.draw(st.booleans()):
             argv += ["--budget", str(data.draw(st.integers(0, 3)))]
     out = io.StringIO()
@@ -367,6 +382,8 @@ def test_cli_exit_code_contract_on_generated_invocations(tiny_models, data):
         except SystemExit as exc:  # argparse refusing the arguments
             code = exc.code
     assert code in (0, 1, 2, 3), (argv, out.getvalue())
+    if command == "distinguish" and min(depth, modal) < 0:
+        assert code == 2, (argv, out.getvalue())
     if code == 1:
         payload = json.loads(out.getvalue())
         assert any(payload.get(key) is False for key in ("holds", "bisimilar", "valid")), (argv, payload)

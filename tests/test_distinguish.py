@@ -1,5 +1,10 @@
+import gc
 import hashlib
+import importlib
 import itertools
+import sys
+import threading
+import weakref
 
 import pytest
 
@@ -12,6 +17,9 @@ from gkmc.syntax import Prop, Vocabulary, check_sentence, format_formula, parse
 
 P_ONLY = Vocabulary.of(props=["p"])
 P_C = Vocabulary.of(props=["p"], constants=["c"])
+
+# `gkmc.distinguish` is the re-exported function; the module holds the shared stream.
+_distinguish_module = importlib.import_module("gkmc.distinguish")
 
 
 def _pointed(m, k=0):
@@ -30,12 +38,124 @@ def test_depth_one_stream():
     assert len(texts) == len(set(texts))
 
 
+def _digest(texts):
+    return hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16]
+
+
+def _texts(sentences):
+    return [format_formula(f) for f in sentences]
+
+
 @pytest.mark.parametrize("cost,count,digest", [(3, 603, "dc4b14ea53b29d65"), (4, 4861, "53cfb7c5d3c33d90")])
 def test_stream_order_is_pinned(cost, count, digest):
     # The order decides which separator `distinguish` returns.
     texts = [format_formula(f) for f in enumerate_sentences(EnumerationBudget(cost, 4, P_C))]
     assert len(texts) == count
     assert hashlib.sha256("\n".join(texts).encode()).hexdigest()[:16] == digest
+
+
+# --- the shared stream ------------------------------------------------------
+
+PINNED_4_4 = (4861, "53cfb7c5d3c33d90")
+
+
+@pytest.fixture
+def empty_stream(monkeypatch):
+    monkeypatch.setattr(_distinguish_module, "_stream", None)
+
+
+def _pinned(texts):
+    return (len(texts), _digest(texts)) == PINNED_4_4
+
+
+def test_shared_stream_extends_a_shorter_read(empty_stream):
+    short = _texts(enumerate_sentences(EnumerationBudget(2, 4, P_C)))
+    full = _texts(enumerate_sentences(EnumerationBudget(4, 4, P_C)))
+    assert full[: len(short)] == short
+    assert _pinned(full)
+
+
+def test_interleaved_readers_each_get_the_whole_stream(empty_stream):
+    budget = EnumerationBudget(4, 4, P_C)
+    a, b = enumerate_sentences(budget), enumerate_sentences(budget)
+    got_a, got_b = [], []
+    while len(got_a) < 3:  # the cost-0 batch is T and p
+        got_a.append(next(a))
+        got_b.append(next(b))
+    assert len(_distinguish_module._stream.ends) == 2  # both paused inside cost 1
+    got_b += b
+    assert len(_distinguish_module._stream.ends) == 5
+    got_a += a
+    assert _pinned(_texts(got_a)) and _pinned(_texts(got_b))
+
+
+def test_paused_reader_keeps_its_own_setting(empty_stream):
+    paused = enumerate_sentences(EnumerationBudget(4, 4, P_C))
+    head = list(itertools.islice(paused, 10))
+    other = EnumerationBudget(3, 2, P_ONLY, allow_xi=False)
+    list(enumerate_sentences(other))
+    assert _distinguish_module._stream.key == (2, P_ONLY, False)
+    assert _pinned(_texts(head) + _texts(paused))
+
+
+def test_failed_batch_is_not_committed(empty_stream, monkeypatch):
+    real = _distinguish_module.check_sentence
+    checked = []
+
+    def fail_inside_cost_four(f):
+        if len(_distinguish_module._stream.ends) == 4:
+            checked.append(f)
+            if len(checked) == 100:
+                raise RuntimeError("injected")
+        return real(f)
+
+    monkeypatch.setattr(_distinguish_module, "check_sentence", fail_inside_cost_four)
+    with pytest.raises(RuntimeError, match="injected"):
+        list(enumerate_sentences(EnumerationBudget(4, 4, P_C)))
+    stream = _distinguish_module._stream
+    assert len(stream.sentences) == stream.ends[-1] == 603 and len(stream.ends) == 4
+    monkeypatch.setattr(_distinguish_module, "check_sentence", real)
+    assert _pinned(_texts(enumerate_sentences(EnumerationBudget(4, 4, P_C))))
+
+
+def test_concurrent_readers_share_one_stream(empty_stream):
+    budget = EnumerationBudget(4, 4, P_C)
+    results = [None] * 4
+
+    def read(k):
+        results[k] = _texts(enumerate_sentences(budget))
+
+    threads = [threading.Thread(target=read, args=(k,)) for k in range(len(results))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(texts is not None and _pinned(texts) for texts in results)
+    stream = _distinguish_module._stream
+    assert len(stream.sentences) == len(set(stream.sentences)) == stream.ends[-1] == PINNED_4_4[0]
+
+
+def test_only_the_latest_setting_is_retained(empty_stream):
+    list(enumerate_sentences(EnumerationBudget(3, 3, P_C)))
+    first = weakref.ref(_distinguish_module._stream)
+    list(enumerate_sentences(EnumerationBudget(3, 3, P_ONLY)))
+    gc.collect()
+    assert first() is None
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [dict(max_connective_depth=-1), dict(max_modal_depth=-2), dict(max_connective_depth=1.5), dict(vocab={"p"})],
+)
+def test_invalid_budget_rejected(bad):
+    with pytest.raises(ValueError):
+        EnumerationBudget(**{**dict(max_connective_depth=2, max_modal_depth=2, vocab=P_C), **bad})
 
 
 def test_stream_is_deterministic():
@@ -123,8 +243,8 @@ def test_bisimilar_pairs_never_separated():
     assert found == 12
 
 
-def test_break_child_pairs_get_verified_separators():
-    separated = total = 0
+def _break_child_pairs():
+    """Oracle-certified non-bisimilar tiny pairs shaped like acceptance criterion 8."""
     for seed in range(60):
         m = gen_model(GenSpec(seed=seed, max_worlds=3, max_children=2, max_depth=1, prop_count=1, constant_count=1, edge_density=0.45))
         if not m.children:
@@ -134,8 +254,13 @@ def test_break_child_pairs_get_verified_separators():
         world = rng.choice(m.children[label].worlds)
         b = break_child(m, label, "p", world)
         pa, pb = _pointed(m), _pointed(b)
-        if brute_force_bisim(pa, pb):
-            continue
+        if not brute_force_bisim(pa, pb):
+            yield pa, pb
+
+
+def test_break_child_pairs_get_verified_separators():
+    separated = total = 0
+    for pa, pb in _break_child_pairs():
         total += 1
         separator = distinguish(pa, pb, EnumerationBudget(4, 4, P_C))
         if separator is None:
@@ -153,3 +278,14 @@ def test_distinguish_deterministic():
     first = distinguish(_pointed(m), _pointed(n), budget)
     second = distinguish(_pointed(m), _pointed(n), budget)
     assert first == second
+
+
+def test_separators_do_not_depend_on_the_retained_stream(monkeypatch):
+    budget = EnumerationBudget(4, 4, P_C)
+    pairs = list(_break_child_pairs())
+    cold = []
+    for pa, pb in pairs:
+        monkeypatch.setattr(_distinguish_module, "_stream", None)
+        cold.append(distinguish(pa, pb, budget))
+    list(enumerate_sentences(EnumerationBudget(3, 2, P_ONLY, allow_xi=False)))
+    assert [distinguish(pa, pb, budget) for pa, pb in pairs] == cold
