@@ -17,11 +17,20 @@ again strictly deeper in the generation tree.  Evaluation is pure over
 immutable inputs; an `Evaluator` may be reused to share work across
 sentences but must not be shared across threads (results are
 deterministic, so concurrent duplication is merely wasted work).
+
+World sets are `int` bitmasks, bit `i` standing for `m.worlds[i]`, so
+`~` is one XOR with the full mask, `[]` one AND-test per world against
+its successor mask, and a query one bit test per world in the child's
+mask.  An `Evaluator` keeps one `_ModelRecord` per model it visits:
+the model's world bits and memo table, built on the first visit, and
+its successor masks, built at the first `[]`.  Only the public entry
+points turn a mask back into a `frozenset` of world names.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Optional
 
 from .model import GenealogicalModel
@@ -76,15 +85,16 @@ EMPTY_INTERPRETATION = InterpretationPair({}, {})
 
 
 class Evaluator:
-    """Evaluates formulas, optionally sharing a memo table across calls.
+    """Evaluates formulas, optionally sharing memo tables across calls.
 
-    Memo entries are keyed by the model object (models hash by identity),
-    the formula, and both interpretations restricted to the formula's free
-    variables (its `free_vars` summary, a superset of what its value can
-    depend on), so results are reused across worlds, sibling conjuncts and
-    whole sentence streams.  The tables hold the models they have seen for
-    the evaluator's lifetime.  The memoized path is validated against the
-    unmemoized one in the test suite.
+    A model's memo table keys a formula with an empty `free_vars` summary
+    (every sentence) by the node alone, and any other by the node and both
+    interpretations restricted to its free variables (a superset of what
+    its value can depend on), so results are reused across worlds, sibling
+    conjuncts and whole sentence streams.  The records hold their models
+    for the evaluator's lifetime.  `use_memo=False` runs the same clauses
+    with no memo table; the test suite checks both paths against an
+    independent set-based evaluator.
 
     `sentence_worlds` checks its argument with `check_sentence`, whose
     verdict is cached on the formula node, so evaluating an already
@@ -92,99 +102,132 @@ class Evaluator:
     """
 
     def __init__(self, use_memo: bool = True):
-        self._memo: Optional[dict] = {} if use_memo else None
-        self._succ: dict[GenealogicalModel, dict[str, frozenset[str]]] = {}
-        self._all: dict[GenealogicalModel, frozenset[str]] = {}
+        self._use_memo = use_memo
+        self._records: dict[GenealogicalModel, _ModelRecord] = {}
 
     def sentence_worlds(self, m: GenealogicalModel, sentence: Formula) -> frozenset[str]:
         diagnostics = check_sentence(sentence)
         if not diagnostics.verdict:
             raise NotASentenceError(diagnostics)
-        return self._eval(m, sentence, {}, {})
+        r = self._record(m)
+        return r.world_set(self._eval(r, sentence, {}, {}))
 
     def formula_worlds(self, m: GenealogicalModel, f: Formula, interp: InterpretationPair) -> frozenset[str]:
-        return self._eval(m, f, dict(interp.model_vars), dict(interp.formula_vars))
+        r = self._record(m)
+        return r.world_set(self._eval(r, f, dict(interp.model_vars), dict(interp.formula_vars)))
 
     # -- internals ----------------------------------------------------
 
-    def _worlds(self, m: GenealogicalModel) -> frozenset[str]:
-        ws = self._all.get(m)
+    def _record(self, m: GenealogicalModel) -> _ModelRecord:
+        return self._records.get(m) or self._records.setdefault(m, _ModelRecord(m, self._use_memo))
+
+    def _eval(self, r: _ModelRecord, f: Formula, mv: dict, fv: dict) -> int:
+        memo = r.memo
+        if memo is not None:
+            hit = memo.get(f)  # only a closed formula is stored under the node alone
+            if hit is not None:
+                return hit
+            mdeps, _, fdeps, _ = free_vars(f)
+            if mdeps or fdeps:
+                bound = tuple([kv for kv in sorted(mv.items()) if kv[0] in mdeps])
+                key = (f, bound, tuple([kv for kv in sorted(fv.items()) if kv[0] in fdeps]))
+                hit = memo.get(key)
+                if hit is not None:
+                    return hit
+            else:
+                key = f
+        try:
+            clause = _CLAUSES[type(f)]
+        except KeyError:
+            raise TypeError(f"not a formula: {f!r}") from None
+        worlds = clause(self, r, f, mv, fv)
+        if memo is not None:
+            memo[key] = worlds
+        return worlds
+
+    def _formula_var(self, r: _ModelRecord, f: FormulaVar, mv: dict, fv: dict) -> int:
+        body = fv.get(f.name)
+        if body is None:
+            raise UndefinedInterpretationError(f"formula variable {f.name!r} uninterpreted")
+        return self._eval(r, body, mv, fv)
+
+    def _box(self, r: _ModelRecord, f: Box, mv: dict, fv: dict) -> int:
+        outside = r.full ^ self._eval(r, f.operand, mv, fv)
+        worlds = 0
+        for bit, succ in r.succ:
+            if not succ & outside:
+                worlds |= bit
+        return worlds
+
+    def _forall(self, r: _ModelRecord, f: Forall, mv: dict, fv: dict) -> int:
+        worlds = r.full
+        for label in r.model.children:
+            worlds &= self._eval(r, f.body, {**mv, f.var: label}, fv)
+            if not worlds:
+                break
+        return worlds
+
+    def _query_var(self, r: _ModelRecord, f: QueryVar, mv: dict, fv: dict) -> int:
+        label = mv.get(f.var)
+        if label is None:
+            raise UndefinedInterpretationError(f"model variable {f.var!r} uninterpreted")
+        child = self._record(r.model.children[label])
+        inner = self._eval(child, f.body, {}, fv)
+        tracking, worlds = r.model.tracking, 0
+        for w, bit in r.bits.items():
+            if inner & child.bits[tracking[w][label]]:
+                worlds |= bit
+        return worlds
+
+    def _query_const(self, r: _ModelRecord, f: QueryConst, mv: dict, fv: dict) -> int:
+        m, worlds = r.model, 0
+        for w, bit in r.bits.items():
+            label = m.assignment.get(w, {}).get(f.const)
+            if label is not None:
+                child = self._record(m.children[label])
+                if self._eval(child, f.body, {}, fv) & child.bits[m.tracking[w][label]]:
+                    worlds |= bit
+        return worlds
+
+
+_CLAUSES = {
+    Top: lambda ev, r, f, mv, fv: r.full,
+    Prop: lambda ev, r, f, mv, fv: sum(r.bits[w] for w in r.model.valuation.get(f.name, ())),
+    FormulaVar: Evaluator._formula_var,
+    Not: lambda ev, r, f, mv, fv: r.full ^ ev._eval(r, f.operand, mv, fv),
+    And: lambda ev, r, f, mv, fv: ev._eval(r, f.left, mv, fv) & ev._eval(r, f.right, mv, fv),
+    Box: Evaluator._box,
+    Forall: Evaluator._forall,
+    Xi: lambda ev, r, f, mv, fv: ev._eval(r, f.body, mv, {**fv, f.var: f.body}),
+    QueryVar: Evaluator._query_var,
+    QueryConst: Evaluator._query_const,
+}
+
+
+class _ModelRecord:
+    """One model's memo table and bitmask tables: `bits` maps each world to
+    its bit, and `succ`, built at the first `[]`, pairs each world's bit
+    with its successor mask.  `sets` caches the frozenset of each mask."""
+
+    def __init__(self, m: GenealogicalModel, use_memo: bool):
+        self.model = m
+        self.bits = {w: 1 << i for i, w in enumerate(m.worlds)}
+        self.full = (1 << len(m.worlds)) - 1
+        self.memo: Optional[dict] = {} if use_memo else None
+        self.sets: dict[int, frozenset[str]] = {}
+
+    @cached_property
+    def succ(self) -> tuple[tuple[int, int], ...]:
+        succ = dict.fromkeys(self.model.worlds, 0)
+        for a, b in self.model.relation:
+            succ[a] |= self.bits[b]
+        return tuple((self.bits[w], s) for w, s in succ.items())
+
+    def world_set(self, mask: int) -> frozenset[str]:
+        ws = self.sets.get(mask)
         if ws is None:
-            ws = self._all[m] = frozenset(m.worlds)
+            ws = self.sets[mask] = frozenset(w for w, bit in self.bits.items() if mask & bit)
         return ws
-
-    def _successors(self, m: GenealogicalModel) -> dict[str, frozenset[str]]:
-        succ = self._succ.get(m)
-        if succ is None:
-            table: dict[str, set[str]] = {w: set() for w in m.worlds}
-            for a, b in m.relation:
-                table[a].add(b)
-            succ = {w: frozenset(ts) for w, ts in table.items()}
-            self._succ[m] = succ
-        return succ
-
-    def _eval(self, m, f, mv: dict, fv: dict) -> frozenset[str]:
-        if self._memo is None:
-            return self._clause(m, f, mv, fv)
-        mdeps, _, fdeps, _ = free_vars(f)
-        key = (
-            m,
-            f,
-            tuple(sorted((k, v) for k, v in mv.items() if k in mdeps)) if mdeps else (),
-            tuple(sorted(((k, v) for k, v in fv.items() if k in fdeps), key=lambda kv: kv[0])) if fdeps else (),
-        )
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = self._clause(m, f, mv, fv)
-            self._memo[key] = hit
-        return hit
-
-    def _clause(self, m, f, mv: dict, fv: dict) -> frozenset[str]:
-        if isinstance(f, Top):
-            return self._worlds(m)
-        if isinstance(f, Prop):
-            return m.valuation.get(f.name, frozenset())
-        if isinstance(f, FormulaVar):
-            body = fv.get(f.name)
-            if body is None:
-                raise UndefinedInterpretationError(f"formula variable {f.name!r} uninterpreted")
-            return self._eval(m, body, mv, fv)
-        if isinstance(f, Not):
-            return self._worlds(m) - self._eval(m, f.operand, mv, fv)
-        if isinstance(f, And):
-            return self._eval(m, f.left, mv, fv) & self._eval(m, f.right, mv, fv)
-        if isinstance(f, Box):
-            inner = self._eval(m, f.operand, mv, fv)
-            succ = self._successors(m)
-            return frozenset(w for w in m.worlds if succ[w] <= inner)
-        if isinstance(f, Forall):
-            result = self._worlds(m)
-            for label in m.children:
-                result &= self._eval(m, f.body, {**mv, f.var: label}, fv)
-                if not result:
-                    break
-            return result
-        if isinstance(f, Xi):
-            return self._eval(m, f.body, mv, {**fv, f.var: f.body})
-        if isinstance(f, QueryVar):
-            label = mv.get(f.var)
-            if label is None:
-                raise UndefinedInterpretationError(f"model variable {f.var!r} uninterpreted")
-            child = m.children[label]
-            inner = self._eval(child, f.body, {}, fv)
-            return frozenset(w for w in m.worlds if m.tracking[w][label] in inner)
-        if isinstance(f, QueryConst):
-            holds = []
-            for w in m.worlds:
-                label = m.assignment.get(w, {}).get(f.const)
-                if label is None:
-                    continue
-                child = m.children[label]
-                inner = self._eval(child, f.body, {}, fv)
-                if m.tracking[w][label] in inner:
-                    holds.append(w)
-            return frozenset(holds)
-        raise TypeError(f"not a formula: {f!r}")
 
 
 def evaluate_sentence(m: GenealogicalModel, sentence: Formula, *, use_memo: bool = True) -> frozenset[str]:
@@ -204,6 +247,9 @@ def valuation(m: GenealogicalModel, f: Formula, interp: InterpretationPair = EMP
     Unlike `evaluate_sentence` this performs no sentence check; on formulas
     that are not sentences it may raise `UndefinedInterpretationError`.
     Memoization is off by default because its cache keys are only sound for
-    inputs reachable from sentence evaluation.
+    inputs reachable from sentence evaluation.  This function, the
+    interpretation types and `Evaluator.formula_worlds` are kept because the
+    tests evaluate open formulas through them and the benchmark's layer
+    tracer wraps `formula_worlds` by name.
     """
     return Evaluator(use_memo).formula_worlds(m, f, interp)

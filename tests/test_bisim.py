@@ -15,10 +15,12 @@ from gkmc.bisim import (
     witness_from_document,
     witness_to_document,
 )
-from gkmc.bisim import _minimal_covers, _surjective
+from gkmc.bisim import _Budget, _Ctx, _minimal_covers, _surjective
+from gkmc.distinguish import EnumerationBudget, distinguish
 from gkmc.generate import GenSpec, break_child, dup_child, gen_model
-from gkmc.model import GenealogicalModel, PointedModel, load_model
-from gkmc.syntax import Vocabulary
+from gkmc.model import GenealogicalModel, PointedModel, load_model, model_vocabulary
+from gkmc.semantics import holds_at
+from gkmc.syntax import Vocabulary, format_formula
 
 TINY = dict(max_worlds=3, max_children=2, max_depth=2, prop_count=1, constant_count=1, edge_density=0.45)
 
@@ -315,3 +317,46 @@ def test_wider_generated_models_bisimilar_to_themselves_and_dup_child(seed, pick
         verdict = bisimilar(pa, pb)
         assert verdict.bisimilar
         assert check_witness(pa, pb, verdict.witness).ok
+
+
+# --- cover rejection ------------------------------------------------------
+
+
+def _retracked_pair():
+    """A pair that plain refinement keeps but no minimal cover does.
+
+    Both sides step once and have two copies of one 2-world child, `p` at
+    `x` only.  The left tracks its children at x, y at both worlds; the
+    right swaps them on its step.  So the children match straight at
+    (s, t) (a1-b1, a2-b2) and crosswise at (s1, t1): no one child
+    correspondence holds at both.
+    """
+    child = {"worlds": ["x", "y"], "valuation": {"p": ["x"]}}
+
+    def model(worlds, labels, tracking):
+        doc = {"worlds": worlds, "relation": [worlds], "children": dict.fromkeys(labels, child), "tracking": tracking}
+        return load_model(json.dumps(doc))
+
+    left = model(["s", "s1"], ("a1", "a2"), {"s": {"a1": "x", "a2": "y"}, "s1": {"a1": "x", "a2": "y"}})
+    right = model(["t", "t1"], ("b1", "b2"), {"t": {"b1": "x", "b2": "y"}, "t1": {"b1": "y", "b2": "x"}})
+    return PointedModel(left, "s"), PointedModel(right, "t")
+
+
+def test_cover_rejection_decides_a_refinement_candidate_non_bisimilar():
+    pm, pn = _retracked_pair()
+    ctx = _Ctx(model_vocabulary(pm.model, pn.model), _Budget(DEFAULT_BUDGET))
+    assert ctx.decide(pm.model, pn.model, pm.world, pn.world) is None
+    assert (pm.world, pn.world) in ctx.levels[pm.model, pn.model].candidates
+    assert not bisimilar(pm, pn).bisimilar
+    assert not brute_force_bisim(pm, pn)
+
+
+def test_cover_rejection_pair_is_separated_only_past_cost_four():
+    pm, pn = _retracked_pair()
+    vocab = model_vocabulary(pm.model, pn.model)
+    assert distinguish(pm, pn, EnumerationBudget(4, 2, vocab)) is None
+    separator = distinguish(pm, pn, EnumerationBudget(5, 1, vocab))
+    assert format_formula(separator) == "~forall x. ~(?[p] x & []?[p] x)"
+    left = holds_at(pm.model, pm.world, separator, use_memo=False)
+    right = holds_at(pn.model, pn.world, separator, use_memo=False)
+    assert left != right

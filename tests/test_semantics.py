@@ -1,9 +1,11 @@
 import gc
+import importlib.util
+import pathlib
 
 import pytest
 
 from gkmc.generate import GenSpec, gen_model, gen_sentence
-from gkmc.model import load_model
+from gkmc.model import load_model, load_model_file, model_vocabulary
 from gkmc.semantics import (
     EMPTY_INTERPRETATION,
     Evaluator,
@@ -16,6 +18,8 @@ from gkmc.semantics import (
 )
 from gkmc.syntax import (
     And,
+    Box,
+    Forall,
     Formula,
     FormulaVar,
     Not,
@@ -28,6 +32,8 @@ from gkmc.syntax import (
     diamond,
     parse,
 )
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
 
 VOCAB = Vocabulary.of(props=["p", "q", "r", "a", "b"], constants=["c"])
 
@@ -77,8 +83,6 @@ def test_negation_clause(de_dicto):
 
 
 def test_boolean_dualities_on_generated_inputs():
-    from gkmc.syntax import Box
-
     for seed in range(60):
         m = gen_model(GenSpec(seed=seed, max_worlds=4, max_children=2, max_depth=2, prop_count=2))
         worlds = frozenset(m.worlds)
@@ -211,3 +215,72 @@ def test_one_shot_evaluation_keeps_no_formula_alive():
     for seed in range(1, 51):
         evaluate_sentence(m, gen_sentence(seed, VOCAB, max_connectives=12))
     assert live_formulas() <= before
+
+
+# --- an independent reference evaluator ----------------------------------
+
+
+def _reference(m, f, mv, fv):
+    """The worlds of `m` where `f` holds under model-variable bindings `mv`
+    and formula-variable bindings `fv`, read straight off the clause
+    definitions: no memo, plain frozensets of world names, and no code
+    shared with `gkmc.semantics`."""
+    everywhere = frozenset(m.worlds)
+    if isinstance(f, Top):
+        return everywhere
+    if isinstance(f, Prop):
+        return frozenset(m.valuation.get(f.name, ()))
+    if isinstance(f, Not):
+        return everywhere - _reference(m, f.operand, mv, fv)
+    if isinstance(f, And):
+        return _reference(m, f.left, mv, fv) & _reference(m, f.right, mv, fv)
+    if isinstance(f, Box):
+        # w satisfies [] f when every successor of w satisfies f.
+        failing = everywhere - _reference(m, f.operand, mv, fv)
+        return everywhere - {u for (u, v) in m.relation if v in failing}
+    if isinstance(f, Forall):
+        # A model with no children satisfies every universal.
+        result = everywhere
+        for label in m.children:
+            result = result & _reference(m, f.body, {**mv, f.var: label}, fv)
+        return result
+    if isinstance(f, Xi):
+        return _reference(m, f.body, mv, {**fv, f.var: f.body})
+    if isinstance(f, FormulaVar):
+        return _reference(m, fv[f.name], mv, fv)
+    if isinstance(f, QueryVar):
+        label = mv[f.var]
+        inside = _reference(m.children[label], f.body, {}, fv)
+        return frozenset(w for w in m.worlds if m.tracking[w][label] in inside)
+    if isinstance(f, QueryConst):
+        # False wherever the constant is undefined.
+        named = {w: m.assignment.get(w, {}).get(f.const) for w in m.worlds}
+        return frozenset(
+            w
+            for w, label in named.items()
+            if label is not None and m.tracking[w][label] in _reference(m.children[label], f.body, {}, fv)
+        )
+    raise TypeError(f"not a formula: {f!r}")
+
+
+def test_evaluator_matches_reference_on_generated_inputs():
+    vocab = Vocabulary.of(props=["p", "q"], constants=["c"])
+    for seed in range(400):
+        m = gen_model(GenSpec(seed=seed, max_worlds=4, max_children=2, max_depth=2, prop_count=2, edge_density=0.4))
+        shared = Evaluator()  # memo entries reused across this model's sentences
+        for k in range(3):
+            s = gen_sentence(seed * 3 + k + 9_000, vocab, max_connectives=8)
+            expected = _reference(m, s, {}, {})
+            assert shared.sentence_worlds(m, s) == expected, (seed, k)
+            assert evaluate_sentence(m, s, use_memo=False) == expected, (seed, k)
+
+
+def test_evaluator_matches_reference_on_example_corpus():
+    spec = importlib.util.spec_from_file_location("run_examples", REPO / "scripts" / "run_examples.py")
+    examples = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(examples)
+    for name, text in examples.CORPUS:
+        m = load_model_file(REPO / "fixtures" / name)
+        s = parse(text, model_vocabulary(m))
+        for use_memo in (True, False):
+            assert evaluate_sentence(m, s, use_memo=use_memo) == _reference(m, s, {}, {}), text
