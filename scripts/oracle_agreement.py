@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Cross-check the bisimilarity search against the brute-force oracle on
-random tiny pointed pairs and report agreement counts."""
+random tiny pointed pairs and report agreement counts.  Every witness
+also goes through its JSON document and back: the re-read witness must
+pass the checker and serialize to the same bytes."""
 
 import argparse
+import json
 import pathlib
 import sys
 import time
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from gkmc.bisim import bisimilar, brute_force_bisim, check_witness
+from gkmc.bisim import bisimilar, brute_force_bisim, check_witness, witness_from_document, witness_to_document
 from gkmc.generate import GenSpec, SplitMix64, break_child, gen_model
 from gkmc.model import PointedModel
 
@@ -44,10 +47,14 @@ def main():
         if verdict.bisimilar:
             positives += 1
             assert check_witness(pm, pn, verdict.witness).ok
+            text = json.dumps(witness_to_document(verdict.witness))
+            restored = witness_from_document(json.loads(text))
+            assert check_witness(pm, pn, restored).ok
+            assert json.dumps(witness_to_document(restored)) == text
     elapsed = time.perf_counter() - started
     per_pair_ms = 1000 * elapsed / args.pairs if args.pairs else 0.0
     print(
-        f"{agree}/{args.pairs} agree ({positives} bisimilar, witnesses verified)"
+        f"{agree}/{args.pairs} agree ({positives} bisimilar, witnesses verified and round-tripped)"
         f" in {elapsed:.1f}s ({per_pair_ms:.2f} ms per pair)"
     )
     if disagree:

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Evaluate the example-corpus sentences over the bundled fixtures and
-print where each one holds."""
+"""Evaluate the example-corpus sentences over the bundled fixtures, print
+where each one holds, and exit 1 if that differs from EXPECTED."""
 
 import pathlib
 import sys
@@ -27,8 +27,17 @@ CORPUS = [
     ("waitall.gkm.json", "xi X. forall x. ?[X] x"),
 ]
 
+# The sorted worlds where each CORPUS entry holds.
+EXPECTED = dict(zip(CORPUS, (
+    ["s0", "s1"],
+    ["s0", "s1", "s2", "s3", "s4"],
+    ["s0", "s1", "s2", "s3"],
+    ["s0", "s1", "s2", "s3"],
+)))
+
 
 def main():
+    mismatches = 0
     for name, text in CORPUS:
         model = load_model_file(FIXTURES / name)
         sentence = parse(text, model_vocabulary(model))
@@ -36,6 +45,11 @@ def main():
         print(f"{name}:")
         print(f"  {text}")
         print(f"  holds at: {worlds}")
+        if worlds != EXPECTED[name, text]:
+            mismatches += 1
+            print(f"  MISMATCH: expected {EXPECTED[name, text]}")
+    if mismatches:
+        sys.exit(1)
 
 
 if __name__ == "__main__":

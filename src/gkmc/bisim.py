@@ -50,8 +50,11 @@ class OracleSizeError(ValueError):
     """Inputs exceed the brute-force oracle's size guard."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BisimWitness:
+    """Z, f and one child witness per child pair at tracked worlds.  It
+    hashes by identity, so a witness DAG indexes its shared nodes."""
+
     z: frozenset[tuple[str, str]]
     f: Mapping[tuple[str, str], frozenset[tuple[str, str]]]
     # (left label, right label, left world, right world) -> child witness
@@ -271,7 +274,9 @@ def bisimilar(
 ) -> BisimVerdict:
     """Decide bisimilarity; when true, the verdict carries a witness that
     `check_witness` accepts.  Raises `BudgetExceededError` on cutoff rather
-    than guessing."""
+    than guessing, and `ValueError` on a budget that is not an `int` >= 0."""
+    if not isinstance(budget, int) or budget < 0:
+        raise ValueError(f"the bisimulation budget must be a non-negative int, not {budget!r}")
     if vocab is None:
         vocab = model_vocabulary(pm.model, pn.model)
     ctx = _Ctx(vocab, _Budget(budget))
@@ -361,7 +366,7 @@ def _check_child(m, n, a, b, wa, wb, w, vocab, where, failures, done, tag):
     if child is None:
         failures.append((tag, f"{where}missing child witness for ({a}, {b}) at ({wa}, {wb})"))
         return
-    key = (m.children[a], n.children[b], wa, wb, id(child))
+    key = (m.children[a], n.children[b], wa, wb, child)
     if key not in done:
         done.add(key)
         _check_into(m.children[a], n.children[b], wa, wb, child, vocab, f"{where}{a}|{b}|{wa}|{wb}: ", failures, done)
@@ -372,35 +377,51 @@ def _check_child(m, n, a, b, wa, wb, w, vocab, where, failures, done, tag):
 
 
 def witness_to_document(w: BisimWitness) -> dict:
-    for key in w.child_witnesses:
-        if any("|" in part for part in key):
-            raise ValueError("witness serialization requires names without '|'")
-    return {
-        "z": [list(pair) for pair in sorted(w.z)],
-        "f": [
-            {"pair": list(pair), "children": [list(c) for c in sorted(w.f[pair])]}
-            for pair in sorted(w.f)
-        ],
-        "children": {
-            "|".join(key): witness_to_document(child)
-            for key, child in sorted(w.child_witnesses.items())
-        },
-    }
+    """The witness DAG as one table `{"witnesses": [entry, ...]}`: each
+    distinct witness object once, children before parents, the root last.
+    An entry is `{"z": [[u, v], ...], "f": [{"pair": [u, v], "children":
+    [[a, b], ...]}, ...], "children": [[a, b, wa, wb, i], ...]}`, `i` being
+    an earlier entry's index.  Entries are numbered in post-order over
+    sorted child keys and every list is sorted, so output is bit-stable."""
+    index: dict[BisimWitness, int] = {}
+    stack = [(w, iter(sorted(w.child_witnesses.items())))]
+    while stack:
+        node, pending = stack[-1]
+        child = next((c for _, c in pending if c not in index), None)
+        if child is None:
+            stack.pop()
+            index[node] = len(index)
+        elif any(child is open_node for open_node, _ in stack):
+            raise ValueError("a witness cannot contain itself")
+        else:
+            stack.append((child, iter(sorted(child.child_witnesses.items()))))
+    return {"witnesses": [
+        {
+            "z": [list(pair) for pair in sorted(node.z)],
+            "f": [{"pair": list(pair), "children": [list(c) for c in sorted(node.f[pair])]} for pair in sorted(node.f)],
+            "children": [[*key, index[c]] for key, c in sorted(node.child_witnesses.items())],
+        }
+        for node in index
+    ]}
 
 
 def witness_from_document(doc: dict) -> BisimWitness:
-    z = frozenset((u, v) for u, v in doc.get("z", []))
-    f = {
-        (entry["pair"][0], entry["pair"][1]): frozenset((a, b) for a, b in entry["children"])
-        for entry in doc.get("f", [])
-    }
-    children = {}
-    for key, sub in doc.get("children", {}).items():
-        parts = tuple(key.split("|"))
-        if len(parts) != 4:
-            raise ValueError(f"bad child witness key {key!r}")
-        children[parts] = witness_from_document(sub)
-    return BisimWitness(z=z, f=f, child_witnesses=children)
+    """Read `witness_to_document`'s table in one forward pass and return
+    its last entry.  Each entry becomes one object, so shared sub-witnesses
+    come back shared.  A child index that is not an earlier entry, or an
+    empty table, raises `ValueError`, so no cycle can be written down."""
+    built: list[BisimWitness] = []
+    for entry in doc.get("witnesses", []):
+        children = {}
+        for a, b, wa, wb, i in entry.get("children", []):
+            if not isinstance(i, int) or not 0 <= i < len(built):
+                raise ValueError(f"child witness index {i!r} is not an earlier entry")
+            children[a, b, wa, wb] = built[i]
+        f = {(e["pair"][0], e["pair"][1]): frozenset((a, b) for a, b in e["children"]) for e in entry.get("f", [])}
+        built.append(BisimWitness(frozenset((u, v) for u, v in entry.get("z", [])), f, children))
+    if not built:
+        raise ValueError("empty witness table")
+    return built[-1]
 
 
 # --------------------------------------------------------------------------

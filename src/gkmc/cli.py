@@ -175,11 +175,6 @@ def _cmd_bisim(args, out) -> int:
             return INTERNAL
 
     if verdict.bisimilar:
-        if args.witness:
-            doc = witness_to_document(verdict.witness)
-            with open(args.witness, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle, indent=2, sort_keys=True)
-                handle.write("\n")
         report = check_witness(pm, pn, verdict.witness, vocab=vocab)
         if not report.ok:
             out.emit(
@@ -187,6 +182,11 @@ def _cmd_bisim(args, out) -> int:
                 "internal error: produced witness fails verification",
             )
             return INTERNAL
+        if args.witness:
+            doc = witness_to_document(verdict.witness)
+            with open(args.witness, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle, indent=2, sort_keys=True)
+                handle.write("\n")
         out.emit({"bisimilar": True}, "bisimilar")
         return OK
     out.emit({"bisimilar": False}, "not bisimilar")

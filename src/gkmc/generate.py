@@ -14,7 +14,7 @@ expected values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import GenealogicalModel, rt_closure, CLOSURE_NONE, CLOSURE_RT
 from .syntax import (
@@ -173,17 +173,8 @@ def dup_child(m: GenealogicalModel, label: str) -> GenealogicalModel:
     if label not in m.children:
         raise ValueError(f"unknown child label {label!r}")
     fresh = _fresh_label(m, label)
-    children = dict(m.children)
-    children[fresh] = m.children[label]
     tracking = {w: {**row, fresh: row[label]} for w, row in m.tracking.items()}
-    return GenealogicalModel(
-        worlds=m.worlds,
-        relation=m.relation,
-        valuation=m.valuation,
-        children=children,
-        assignment=m.assignment,
-        tracking=tracking,
-    )
+    return replace(m, children={**m.children, fresh: m.children[label]}, tracking=tracking)
 
 
 def break_child(m: GenealogicalModel, label: str, prop: str, world: str) -> GenealogicalModel:
@@ -197,25 +188,8 @@ def break_child(m: GenealogicalModel, label: str, prop: str, world: str) -> Gene
         raise ValueError(f"unknown world {world!r} in child {label!r}")
     member = child.valuation.get(prop, frozenset())
     flipped = member - {world} if world in member else member | {world}
-    valuation = {**child.valuation, prop: flipped}
-    new_child = GenealogicalModel(
-        worlds=child.worlds,
-        relation=child.relation,
-        valuation=valuation,
-        children=child.children,
-        assignment=child.assignment,
-        tracking=child.tracking,
-    )
-    children = dict(m.children)
-    children[label] = new_child
-    return GenealogicalModel(
-        worlds=m.worlds,
-        relation=m.relation,
-        valuation=m.valuation,
-        children=children,
-        assignment=m.assignment,
-        tracking=m.tracking,
-    )
+    new_child = replace(child, valuation={**child.valuation, prop: flipped})
+    return replace(m, children={**m.children, label: new_child})
 
 
 # --------------------------------------------------------------------------

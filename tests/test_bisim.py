@@ -186,6 +186,13 @@ def test_budget_exhaustion_is_distinct():
         bisimilar(_pointed(m), _pointed(m), budget=0)
 
 
+@pytest.mark.parametrize("budget", [-1, 1.5, "5"])
+def test_budget_must_be_a_non_negative_int(budget):
+    pm = _pointed(load_model('{"worlds": ["w0"]}'))
+    with pytest.raises(ValueError):
+        bisimilar(pm, pm, budget=budget)
+
+
 # --- witness checking ----------------------------------------------------
 
 
@@ -255,6 +262,88 @@ def test_witness_document_is_deterministic(de_dicto):
     a = witness_to_document(bisimilar(pm, pm).witness)
     b = witness_to_document(bisimilar(pm, pm).witness)
     assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+
+def _dup_child_witness(seed, max_worlds, max_children, max_depth):
+    m = gen_model(GenSpec(seed=seed, max_worlds=max_worlds, max_children=max_children, max_depth=max_depth,
+                          edge_density=0.4))
+    d = dup_child(m, sorted(m.children)[0])
+    pm, pd = _pointed(m), _pointed(d)
+    return pm, pd, bisimilar(pm, pd).witness
+
+
+def test_witness_table_holds_each_distinct_witness_once():
+    _, _, w = _dup_child_witness(0, 8, 4, 2)
+    entries = witness_to_document(w)["witnesses"]
+    root = len(entries) - 1
+    objects, todo, references = {root: w}, [root], 0
+    while todo:
+        k = todo.pop()
+        node, entry = objects[k], entries[k]
+        assert entry["z"] == [list(pair) for pair in sorted(node.z)]
+        assert [tuple(key) for *key, _ in entry["children"]] == sorted(node.child_witnesses)
+        for *key, i in entry["children"]:
+            assert i < k
+            references += 1
+            child = node.child_witnesses[tuple(key)]
+            if i not in objects:
+                objects[i] = child
+                todo.append(i)
+            assert objects[i] is child
+    # Every entry is one distinct object reachable from the root, and the
+    # witness shares sub-witnesses, so the table is smaller than the tree.
+    assert sorted(objects) == list(range(len(entries)))
+    assert len(set(objects.values())) == len(entries) < references + 1
+
+
+def test_witness_table_reads_back_shared_objects():
+    pm, pd, w = _dup_child_witness(0, 8, 4, 2)
+    doc = witness_to_document(w)
+    restored = witness_from_document(json.loads(json.dumps(doc)))
+    seen, todo = {restored}, [restored]
+    while todo:
+        for child in todo.pop().child_witnesses.values():
+            if child not in seen:
+                seen.add(child)
+                todo.append(child)
+    assert len(seen) == len(doc["witnesses"])
+    assert witness_to_document(restored) == doc
+    assert check_witness(pm, pd, restored).ok
+
+
+_LEAF = {"z": [["u", "u"]], "f": [{"pair": ["u", "u"], "children": []}], "children": []}
+
+
+def _with_child(index):
+    return {**_LEAF, "children": [["a", "a", "u", "u", index]]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"witnesses": [_with_child(1), _LEAF]},
+        {"witnesses": [_LEAF, _with_child(1)]},
+        {"witnesses": [_LEAF, _with_child(-1)]},
+        {"witnesses": []},
+        {"z": _LEAF["z"], "f": _LEAF["f"], "children": {}},
+    ],
+    ids=["forward", "self", "negative", "empty", "nested"],
+)
+def test_witness_table_rejects_bad_indices_and_other_formats(doc):
+    with pytest.raises(ValueError):
+        witness_from_document(doc)
+
+
+def test_witness_document_refuses_a_cyclic_witness():
+    w = BisimWitness(z=frozenset({("u", "u")}), f={("u", "u"): frozenset()}, child_witnesses={})
+    w.child_witnesses["a", "a", "u", "u"] = w
+    with pytest.raises(ValueError):
+        witness_to_document(w)
+
+
+def test_wide_dup_child_witness_document_stays_small():
+    _, _, w = _dup_child_witness(0, 16, 6, 3)
+    assert len(json.dumps(witness_to_document(w), indent=2, sort_keys=True)) < 1_000_000
 
 
 # --- child correspondences ------------------------------------------------

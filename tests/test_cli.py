@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkmc.cli import main
-from gkmc.bisim import check_witness, witness_from_document
+from gkmc.bisim import WitnessReport, check_witness, witness_from_document
 from gkmc.generate import GenSpec, dup_child, gen_model, gen_sentence
 from gkmc.model import PointedModel, dump_model, load_model, load_model_file
 from gkmc.syntax import Vocabulary, format_formula
@@ -119,6 +119,32 @@ def test_bisim_same_pointed_model(capsys, tmp_path):
     assert check_witness(PointedModel(m, "s0"), PointedModel(m, "s0"), witness).ok
 
 
+def test_bisim_writes_no_witness_that_fails_its_check(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("gkmc.cli.check_witness", lambda *a, **k: WitnessReport(False, (("atoms", "forced"),)))
+    witness_file = tmp_path / "witness.json"
+    fixture = fixture_path("de_dicto.gkm.json")
+    code, _ = run(capsys, "bisim", fixture, "s0", fixture, "s0", "--witness", str(witness_file))
+    assert code == 4
+    assert not witness_file.exists()
+
+
+def test_bisim_witness_names_may_contain_bars(capsys, tmp_path):
+    doc = {
+        "worlds": ["w|0"],
+        "valuation": {"p": ["w|0"]},
+        "children": {"c|1": {"worlds": ["u|2"], "valuation": {"p": ["u|2"]}}},
+        "tracking": {"w|0": {"c|1": "u|2"}},
+    }
+    path, witness_file = tmp_path / "bar.gkm.json", tmp_path / "witness.json"
+    path.write_text(json.dumps(doc))
+    code, _ = run(capsys, "bisim", str(path), "w|0", str(path), "w|0", "--witness", str(witness_file))
+    assert code == 0
+    witness = witness_from_document(json.loads(witness_file.read_text()))
+    assert ("c|1", "c|1", "u|2", "u|2") in witness.child_witnesses
+    m = load_model_file(str(path))
+    assert check_witness(PointedModel(m, "w|0"), PointedModel(m, "w|0"), witness).ok
+
+
 def test_bisim_different_models(capsys):
     code, _ = run(
         capsys,
@@ -158,6 +184,16 @@ def test_bisim_env_budget(capsys, monkeypatch):
         fixture_path("de_dicto.gkm.json"), "s0",
     )
     assert code == 3
+
+
+@pytest.mark.parametrize("flags,env", [(["--budget", "-1"], None), ([], "-1")], ids=["--budget", "GKMC_BISIM_BUDGET"])
+def test_bisim_negative_budget_is_an_input_error(capsys, monkeypatch, flags, env):
+    if env is not None:
+        monkeypatch.setenv("GKMC_BISIM_BUDGET", env)
+    fixture = fixture_path("de_dicto.gkm.json")
+    code, out = run(capsys, "--json", "bisim", fixture, "s0", fixture, "s0", *flags)
+    assert code == 2
+    assert json.loads(out)["error"] == "input"
 
 
 def test_bisim_vocab_containment(capsys, tmp_path):
