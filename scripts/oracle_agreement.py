@@ -2,19 +2,26 @@
 """Cross-check the bisimilarity search against the brute-force oracle on
 random tiny pointed pairs and report agreement counts.  Every witness
 also goes through its JSON document and back: the re-read witness must
-pass the checker and serialize to the same bytes."""
+pass the checker and serialize to the same bytes.
+
+A second population, reported on its own line, pairs tiny models with
+their `retrack` at one world; some of these pairs survive plain
+refinement and are rejected only by the cover search."""
 
 import argparse
 import json
 import pathlib
 import sys
 import time
+from dataclasses import replace
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from gkmc.bisim import bisimilar, brute_force_bisim, check_witness, witness_from_document, witness_to_document
-from gkmc.generate import GenSpec, SplitMix64, break_child, gen_model
+from gkmc.generate import GenSpec, SplitMix64, break_child, derive, gen_model, retrack
 from gkmc.model import PointedModel
+
+TINY = dict(max_worlds=3, max_children=2, max_depth=2, prop_count=1, constant_count=1, edge_density=0.45)
 
 
 def main():
@@ -23,23 +30,28 @@ def main():
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
 
-    tiny = dict(max_worlds=3, max_children=2, max_depth=2, prop_count=1, constant_count=1, edge_density=0.45)
     started = time.perf_counter()
+    agree, disagree, positives = cross_check(random_pair(args.seed + k, k % 2 == 1) for k in range(args.pairs))
+    elapsed = time.perf_counter() - started
+    per_pair_ms = 1000 * elapsed / args.pairs if args.pairs else 0.0
+    print(
+        f"{agree}/{args.pairs} agree ({positives} bisimilar, witnesses verified and round-tripped)"
+        f" in {elapsed:.1f}s ({per_pair_ms:.2f} ms per pair)"
+    )
+    retracked = (retrack_pair(args.seed + k) for k in range(args.pairs))
+    r_agree, r_disagree, r_positives = cross_check(pair for pair in retracked if pair is not None)
+    print(f"retrack: {r_agree}/{r_agree + r_disagree} agree ({r_positives} bisimilar)")
+    if disagree or r_disagree:
+        sys.exit(1)
+
+
+def cross_check(pairs):
+    """Compare the search with the oracle on `(pm, pn, seed)` triples and
+    round-trip every witness; return (agree, disagree, positives)."""
     agree = disagree = positives = 0
-    for k in range(args.pairs):
-        seed = args.seed + k
-        m = gen_model(GenSpec(seed=seed, **tiny))
-        rng = SplitMix64(seed)
-        if k % 2 == 0 or not m.children:
-            other = gen_model(GenSpec(seed=seed + 70_000, **tiny))
-        else:
-            label = rng.choice(sorted(m.children))
-            other = break_child(m, label, "p", rng.choice(m.children[label].worlds))
-        pm = PointedModel(m, rng.choice(m.worlds))
-        pn = PointedModel(other, rng.choice(other.worlds))
+    for pm, pn, seed in pairs:
         verdict = bisimilar(pm, pn)
-        oracle = brute_force_bisim(pm, pn)
-        if verdict.bisimilar == oracle:
+        if verdict.bisimilar == brute_force_bisim(pm, pn):
             agree += 1
         else:
             disagree += 1
@@ -51,14 +63,40 @@ def main():
             restored = witness_from_document(json.loads(text))
             assert check_witness(pm, pn, restored).ok
             assert json.dumps(witness_to_document(restored)) == text
-    elapsed = time.perf_counter() - started
-    per_pair_ms = 1000 * elapsed / args.pairs if args.pairs else 0.0
-    print(
-        f"{agree}/{args.pairs} agree ({positives} bisimilar, witnesses verified and round-tripped)"
-        f" in {elapsed:.1f}s ({per_pair_ms:.2f} ms per pair)"
-    )
-    if disagree:
-        sys.exit(1)
+    return agree, disagree, positives
+
+
+def random_pair(seed, mutate):
+    """Two independent tiny models, or a model and its `break_child` when
+    `mutate` and the model has a child, each pointed at a random world."""
+    m = gen_model(GenSpec(seed=seed, **TINY))
+    rng = SplitMix64(seed)
+    if not mutate or not m.children:
+        other = gen_model(GenSpec(seed=seed + 70_000, **TINY))
+    else:
+        label = rng.choice(sorted(m.children))
+        other = break_child(m, label, "p", rng.choice(m.children[label].worlds))
+    return PointedModel(m, rng.choice(m.worlds)), PointedModel(other, rng.choice(other.worlds)), seed
+
+
+def retrack_pair(seed):
+    """A tiny model with its first child under two labels, `a` tracked as
+    generated and `b` at seeded random worlds, against its `retrack` at a
+    random world, both pointed at one random world; None without children.
+    Equal children tracked apart are what the cover search can tell from
+    their swap when plain refinement cannot."""
+    m = gen_model(GenSpec(seed=seed + 140_000, **TINY))
+    if not m.children:
+        return None
+    rng = SplitMix64(derive(seed, "retrack"))
+    first = sorted(m.children)[0]
+    child = m.children[first]
+    tracking = {w: {"a": row[first], "b": rng.choice(child.worlds)} for w, row in m.tracking.items()}
+    assignment = {w: dict.fromkeys(row, "a") for w, row in m.assignment.items()}
+    m = replace(m, children={"a": child, "b": child}, tracking=tracking, assignment=assignment)
+    other = retrack(m, rng.choice(m.worlds), "a", "b")
+    world = rng.choice(m.worlds)
+    return PointedModel(m, world), PointedModel(other, world), seed
 
 
 if __name__ == "__main__":

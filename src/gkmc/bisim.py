@@ -22,6 +22,11 @@ grows along the way, so each pair q reached has f(s,t) ⊆ f(q) ⊆ G(q),
 and the reached pairs lie in the fixpoint of H = f(s,t), hence in that
 of every minimal surjective H ⊆ f(s,t): fixpoints grow as H shrinks.
 
+Child decisions are made only at pairs in P, plain bisimilarity (atoms,
+zig/zag) on m ⊎ n by partition refinement (Kanellakis & Smolka 1990).
+Candidate sets are zig/zag-closed and agree on atoms, so lie in P; so
+P ∩ L and L, the locally ok pairs, share their greatest such subset.
+
 Minimal surjective sets are the minimal edge covers of G(s,t) read as a
 bipartite graph, generated lazily, smallest first; each one tried is
 charged to the node budget, and exceeding it raises instead of returning
@@ -105,15 +110,12 @@ class _PairLevel:
         self.g: dict[tuple[str, str], frozenset] = {}
         # The greatest zig/zag-closed set of locally ok pairs: every
         # bisimulation's Z lies inside it, whatever its f.
-        self.candidates = self._refine({(u, v) for u in m.worlds for v in n.worlds if self._local_ok(u, v)})
+        self.candidates = self._refine({q for q in _plain_pairs(m, n, self.succ_m, self.succ_n, ctx.vocab.props) if self._local_ok(*q)})
         self.fixpoints: dict[frozenset, frozenset] = {}
 
     def _local_ok(self, u, v) -> bool:
-        """Atoms agree, G(u,v) is surjective and holds the constants' pairs."""
+        """G(u,v) is surjective and holds the constants' pairs."""
         m, n = self.m, self.n
-        if any((u in m.valuation.get(p, frozenset())) != (v in n.valuation.get(p, frozenset()))
-               for p in self.ctx.vocab.props):
-            return False
         g = self.g[(u, v)] = frozenset(
             (a, b)
             for a in self.labels_m
@@ -146,6 +148,23 @@ class _PairLevel:
                     alive.discard((u, v))
                     changed = True
         return frozenset(alive)
+
+
+def _plain_pairs(m, n, succ_m, succ_n, props) -> list[tuple[str, str]]:
+    """The world pairs of m × n in one plain-bisimilarity class of m ⊎ n:
+    worlds keyed by atoms, then by class and successors' classes (the two
+    sides sharing class ids) until the class count stops growing."""
+    key_m = {u: tuple(u in m.valuation.get(p, ()) for p in props) for u in m.worlds}
+    key_n = {v: tuple(v in n.valuation.get(p, ()) for p in props) for v in n.worlds}
+    ids: dict = {}
+    while True:
+        count, ids = len(ids), {}
+        cls_m = {u: ids.setdefault(k, len(ids)) for u, k in key_m.items()}
+        cls_n = {v: ids.setdefault(k, len(ids)) for v, k in key_n.items()}
+        if len(ids) == count:
+            return [(u, v) for u in m.worlds for v in n.worlds if cls_m[u] == cls_n[v]]
+        key_m = {u: (c, frozenset(map(cls_m.__getitem__, succ_m[u]))) for u, c in cls_m.items()}
+        key_n = {v: (c, frozenset(map(cls_n.__getitem__, succ_n[v]))) for v, c in cls_n.items()}
 
 
 def _surjective(pairs, labels_m, labels_n) -> bool:
@@ -317,12 +336,12 @@ def _check_into(m, n, s, t, w, vocab, where, failures, done):
     if set(w.f) != set(w.z):
         fail("f-domain", "f must be defined exactly on Z")
 
-    succ_m = _successors(m)
-    succ_n = _successors(n)
+    succ_m, succ_n = _successors(m), _successors(n)
     labels_m, labels_n = set(m.children), set(n.children)
+    worlds_m, worlds_n = set(m.worlds), set(n.worlds)
 
     for (u, v) in sorted(w.z):
-        if u not in set(m.worlds) or v not in set(n.worlds):
+        if u not in worlds_m or v not in worlds_n:
             fail("pointed-pair", f"({u}, {v}) is not a world pair")
             continue
         for p in sorted(vocab.props):

@@ -192,6 +192,17 @@ def break_child(m: GenealogicalModel, label: str, prop: str, world: str) -> Gene
     return replace(m, children={**m.children, label: new_child})
 
 
+def retrack(m: GenealogicalModel, world: str, a: str, b: str) -> GenealogicalModel:
+    """Swap the tracked worlds of children `a` and `b` at `world`; applying
+    it twice restores the original."""
+    if world not in m.worlds or a not in m.children or b not in m.children:
+        raise ValueError(f"no children {a!r} and {b!r} at world {world!r}")
+    row = m.tracking[world]
+    if row[b] not in m.children[a].worlds or row[a] not in m.children[b].worlds:
+        raise ValueError(f"children {a!r} and {b!r} cannot trade tracked worlds at {world!r}")
+    return replace(m, tracking={**m.tracking, world: {**row, a: row[b], b: row[a]}})
+
+
 # --------------------------------------------------------------------------
 # Formula and sentence generation
 

@@ -1,5 +1,6 @@
 import itertools
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,9 +16,9 @@ from gkmc.bisim import (
     witness_from_document,
     witness_to_document,
 )
-from gkmc.bisim import _Budget, _Ctx, _minimal_covers, _surjective
+from gkmc.bisim import _Budget, _Ctx, _minimal_covers, _plain_pairs, _successors, _surjective
 from gkmc.distinguish import EnumerationBudget, distinguish
-from gkmc.generate import GenSpec, break_child, dup_child, gen_model
+from gkmc.generate import GenSpec, SplitMix64, break_child, derive, dup_child, gen_model, retrack
 from gkmc.model import GenealogicalModel, PointedModel, load_model, model_vocabulary
 from gkmc.semantics import holds_at
 from gkmc.syntax import Vocabulary, format_formula
@@ -449,3 +450,139 @@ def test_cover_rejection_pair_is_separated_only_past_cost_four():
     left = holds_at(pm.model, pm.world, separator, use_memo=False)
     right = holds_at(pn.model, pn.world, separator, use_memo=False)
     assert left != right
+
+
+# --- plain-bisimilarity classes -------------------------------------------
+
+
+def _refined(alive, m, n):
+    """The greatest subset of `alive` closed under plain zig/zag."""
+    succ_m, succ_n = _successors(m), _successors(n)
+    alive = set(alive)
+    while True:
+        keep = {
+            (u, v) for (u, v) in alive
+            if all(any((u2, v2) in alive for v2 in succ_n[v]) for u2 in succ_m[u])
+            and all(any((u2, v2) in alive for u2 in succ_m[u]) for v2 in succ_n[v])
+        }
+        if keep == alive:
+            return frozenset(alive)
+        alive = keep
+
+
+def _atoms_agree(m, n, u, v, props):
+    return all((u in m.valuation.get(p, frozenset())) == (v in n.valuation.get(p, frozenset())) for p in props)
+
+
+def _reference_candidates(ctx, m, n):
+    """The candidates by definition, over the full product: every world
+    pair of m × n passing the atom, surjectivity and constant clauses,
+    refined under plain zig/zag."""
+    ok = set()
+    for u in m.worlds:
+        for v in n.worlds:
+            if not _atoms_agree(m, n, u, v, ctx.vocab.props):
+                continue
+            g = {
+                (a, b) for a in m.children for b in n.children
+                if ctx.decide(m.children[a], n.children[b], m.tracking[u][a], n.tracking[v][b]) is not None
+            }
+            constants = {(m.assignment.get(u, {}).get(c), n.assignment.get(v, {}).get(c)) for c in ctx.vocab.constants}
+            surjective = {a for a, _ in g} == set(m.children) and {b for _, b in g} == set(n.children)
+            if surjective and constants - {(None, None)} <= g:
+                ok.add((u, v))
+    return _refined(ok, m, n)
+
+
+def _chain(length):
+    worlds = [f"c{k}" for k in range(length)]
+    return load_model(json.dumps({"worlds": worlds, "relation": [list(e) for e in zip(worlds, worlds[1:])]}))
+
+
+@pytest.mark.parametrize("m, n", [
+    (gen_model(GenSpec(seed=3, max_worlds=8, prop_count=2, max_depth=0, edge_density=0.3)),) * 2,
+    (_chain(3), _chain(5)),
+    (_chain(4), _chain(4)),
+])
+def test_plain_pairs_match_naive_refinement_on_atoms(m, n):
+    props = model_vocabulary(m, n).props
+    naive = _refined({(u, v) for u in m.worlds for v in n.worlds if _atoms_agree(m, n, u, v, props)}, m, n)
+    assert set(_plain_pairs(m, n, _successors(m), _successors(n), props)) == naive
+
+
+W8 = dict(max_worlds=8, max_children=4, max_depth=2, edge_density=0.4)
+
+
+def _candidate_pair(kind, seed, spec):
+    if kind == "retracked":
+        pm, pn = _retracked_pair()
+        return pm.model, pn.model, pm.world, pn.world
+    m = gen_model(GenSpec(seed=seed, **spec))
+    if kind == "independent" or not m.children:
+        n = gen_model(GenSpec(seed=seed + 50_000, **spec))
+    elif kind == "dup_child":
+        n = dup_child(m, sorted(m.children)[seed % len(m.children)])
+    else:
+        label = sorted(m.children)[seed % len(m.children)]
+        n = break_child(m, label, "p", m.children[label].worlds[-1])
+    return m, n, m.worlds[seed % len(m.worlds)], n.worlds[seed % len(n.worlds)]
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["independent", "dup_child", "break_child", "retracked"]),
+    st.integers(0, 10_000),
+    st.sampled_from([TINY, W8]),
+)
+def test_candidates_equal_the_full_product_definition(kind, seed, spec):
+    m, n, s, t = _candidate_pair(kind, seed, spec)
+    ctx = _Ctx(model_vocabulary(m, n), _Budget(DEFAULT_BUDGET))
+    ctx.decide(m, n, s, t)
+    for (a, b), level in list(ctx.levels.items()):
+        assert level.candidates == _reference_candidates(ctx, a, b)
+
+
+def test_wide_dup_child_cascade_decides_through_few_levels():
+    m = gen_model(GenSpec(seed=4, max_worlds=16, max_children=6, max_depth=3, edge_density=0.4))
+    d = dup_child(m, sorted(m.children)[0])
+    ctx = _Ctx(model_vocabulary(m, d), _Budget(DEFAULT_BUDGET))
+    assert ctx.decide(m, d, m.worlds[0], d.worlds[0]) is not None
+    assert len(ctx.levels) < 1000
+    witness = ctx.witness(m, d, m.worlds[0], d.worlds[0])
+    assert check_witness(PointedModel(m, m.worlds[0]), PointedModel(d, d.worlds[0]), witness).ok
+
+
+# --- retrack pairs ----------------------------------------------------------
+
+
+def _twins_and_retrack(seed):
+    """A tiny model with its first child under two labels, `a` tracked as
+    generated and `b` at seeded random worlds, and its `retrack` at a
+    seeded world; None when the model has no child."""
+    m = gen_model(GenSpec(seed=seed, **TINY))
+    if not m.children:
+        return None
+    rng = SplitMix64(derive(seed, "retrack"))
+    first = sorted(m.children)[0]
+    child = m.children[first]
+    tracking = {w: {"a": row[first], "b": rng.choice(child.worlds)} for w, row in m.tracking.items()}
+    assignment = {w: dict.fromkeys(row, "a") for w, row in m.assignment.items()}
+    m = replace(m, children={"a": child, "b": child}, tracking=tracking, assignment=assignment)
+    return m, retrack(m, rng.choice(m.worlds), "a", "b")
+
+
+def test_search_agrees_with_oracle_on_retrack_pairs():
+    cover_rejections = 0
+    for seed in range(60):
+        pair = _twins_and_retrack(seed)
+        if pair is None:
+            continue
+        m, r = pair
+        for w in m.worlds:
+            pm, pr = PointedModel(m, w), PointedModel(r, w)
+            ctx = _Ctx(model_vocabulary(m, r), _Budget(DEFAULT_BUDGET))
+            found = ctx.decide(m, r, w, w) is not None
+            assert found == bisimilar(pm, pr).bisimilar == brute_force_bisim(pm, pr)
+            cover_rejections += not found and (w, w) in ctx.levels[m, r].candidates
+    # The population reaches the case only the cover search decides.
+    assert cover_rejections

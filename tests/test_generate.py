@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from gkmc.bisim import bisimilar, check_witness
@@ -10,8 +12,9 @@ from gkmc.generate import (
     gen_formula,
     gen_model,
     gen_sentence,
+    retrack,
 )
-from gkmc.model import PointedModel, depth, dump_model, validate
+from gkmc.model import PointedModel, depth, dump_model, load_model, validate
 from gkmc.syntax import Vocabulary, check_sentence, format_formula, parse
 
 VOCAB = Vocabulary.of(props=["p", "q"], constants=["c"])
@@ -137,6 +140,57 @@ def test_break_child_bad_coordinates():
         break_child(m, "ghost", "p", "s0")
     with pytest.raises(ValueError):
         break_child(m, label, "p", "zz")
+
+
+def _two_children(seed):
+    while True:
+        m = gen_model(GenSpec(seed=seed, max_worlds=3, max_children=2, max_depth=1))
+        if len(m.children) == 2:
+            return m
+        seed += 1
+
+
+def test_retrack_swaps_one_row_and_is_an_involution():
+    swapped = 0
+    for start in range(0, 40, 4):
+        m = _two_children(start)
+        a, b = sorted(m.children)
+        for w in m.worlds:
+            try:
+                once = retrack(m, w, a, b)
+            except ValueError:
+                continue
+            swapped += 1
+            assert validate(once).verdict
+            assert once.tracking[w] == {**m.tracking[w], a: m.tracking[w][b], b: m.tracking[w][a]}
+            assert all(once.tracking[x] == m.tracking[x] for x in m.worlds if x != w)
+            assert dump_model(retrack(once, w, a, b)) == dump_model(m)
+    assert swapped
+
+
+def test_retrack_of_a_copy_and_its_original_changes_nothing():
+    m = _first_with_child(0, max_worlds=3, max_children=1, max_depth=1)
+    d = dup_child(m, "n0")
+    assert all(dump_model(retrack(d, w, "n0", "n0_dup")) == dump_model(d) for w in d.worlds)
+
+
+def test_retrack_bad_coordinates():
+    m = _two_children(0)
+    a, b = sorted(m.children)
+    with pytest.raises(ValueError):
+        retrack(m, m.worlds[0], a, "ghost")
+    with pytest.raises(ValueError):
+        retrack(m, m.worlds[0], "ghost", b)
+    with pytest.raises(ValueError):
+        retrack(m, "zz", a, b)
+    leaf = {"worlds": ["x"]}
+    uneven = load_model(json.dumps({
+        "worlds": ["w"],
+        "children": {"a": leaf, "b": {"worlds": ["y"]}},
+        "tracking": {"w": {"a": "x", "b": "y"}},
+    }))
+    with pytest.raises(ValueError):
+        retrack(uneven, "w", "a", "b")
 
 
 def test_break_child_mostly_breaks_bisimilarity():
