@@ -22,10 +22,15 @@ grows along the way, so each pair q reached has f(s,t) ⊆ f(q) ⊆ G(q),
 and the reached pairs lie in the fixpoint of H = f(s,t), hence in that
 of every minimal surjective H ⊆ f(s,t): fixpoints grow as H shrinks.
 
-Child decisions are made only at pairs in P, plain bisimilarity (atoms,
-zig/zag) on m ⊎ n by partition refinement (Kanellakis & Smolka 1990).
-Candidate sets are zig/zag-closed and agree on atoms, so lie in P; so
-P ∩ L and L, the locally ok pairs, share their greatest such subset.
+Candidate sets are zig/zag-closed and agree on atoms, so lie in P, plain
+bisimilarity (atoms, zig/zag).  Each `bisimilar` call computes P once by
+partition refinement (Kanellakis & Smolka 1990) over the disjoint union
+of every (submodel, world) of both input trees; restricted to two of its
+components, P of a disjoint union is P of those two, since a world's
+class depends on the worlds it reaches alone.  So `decide` answers None
+at once for a pair outside P, building no level, and a level makes child
+decisions only at pairs in P: P ∩ L and L, the locally ok pairs, share
+their greatest zig/zag-closed subset.
 
 Minimal surjective sets are the minimal edge covers of G(s,t) read as a
 bipartite graph, generated lazily, smallest first; each one tried is
@@ -103,14 +108,18 @@ class _PairLevel:
         self.ctx = ctx
         self.m = m
         self.n = n
-        self.succ_m = _successors(m)
-        self.succ_n = _successors(n)
+        self.succ_m = ctx.succ[m]
+        self.succ_n = ctx.succ[n]
         self.labels_m = tuple(m.children)
         self.labels_n = tuple(n.children)
         self.g: dict[tuple[str, str], frozenset] = {}
+        cls_m, cls_n = ctx.classes[m], ctx.classes[n]
+        bucket: dict[int, list[str]] = {}
+        for v in n.worlds:
+            bucket.setdefault(cls_n[v], []).append(v)
         # The greatest zig/zag-closed set of locally ok pairs: every
         # bisimulation's Z lies inside it, whatever its f.
-        self.candidates = self._refine({q for q in _plain_pairs(m, n, self.succ_m, self.succ_n, ctx.vocab.props) if self._local_ok(*q)})
+        self.candidates = self._refine({(u, v) for u in m.worlds for v in bucket.get(cls_m[u], ()) if self._local_ok(u, v)})
         self.fixpoints: dict[frozenset, frozenset] = {}
 
     def _local_ok(self, u, v) -> bool:
@@ -148,23 +157,6 @@ class _PairLevel:
                     alive.discard((u, v))
                     changed = True
         return frozenset(alive)
-
-
-def _plain_pairs(m, n, succ_m, succ_n, props) -> list[tuple[str, str]]:
-    """The world pairs of m × n in one plain-bisimilarity class of m ⊎ n:
-    worlds keyed by atoms, then by class and successors' classes (the two
-    sides sharing class ids) until the class count stops growing."""
-    key_m = {u: tuple(u in m.valuation.get(p, ()) for p in props) for u in m.worlds}
-    key_n = {v: tuple(v in n.valuation.get(p, ()) for p in props) for v in n.worlds}
-    ids: dict = {}
-    while True:
-        count, ids = len(ids), {}
-        cls_m = {u: ids.setdefault(k, len(ids)) for u, k in key_m.items()}
-        cls_n = {v: ids.setdefault(k, len(ids)) for v, k in key_n.items()}
-        if len(ids) == count:
-            return [(u, v) for u in m.worlds for v in n.worlds if cls_m[u] == cls_n[v]]
-        key_m = {u: (c, frozenset(map(cls_m.__getitem__, succ_m[u]))) for u, c in cls_m.items()}
-        key_n = {v: (c, frozenset(map(cls_n.__getitem__, succ_n[v]))) for v, c in cls_n.items()}
 
 
 def _surjective(pairs, labels_m, labels_n) -> bool:
@@ -238,10 +230,41 @@ class _Ctx:
         self.levels: dict[tuple[GenealogicalModel, GenealogicalModel], _PairLevel] = {}
         self.covers: dict[tuple[GenealogicalModel, GenealogicalModel, str, str], Optional[frozenset]] = {}
         self.witnesses: dict[tuple[GenealogicalModel, GenealogicalModel, str, str], BisimWitness] = {}
+        # Per model of the first decided pair's trees: its successor table
+        # and each world's plain-bisimilarity class, ids shared by all.
+        self.succ: dict[GenealogicalModel, dict[str, tuple[str, ...]]] = {}
+        self.classes: dict[GenealogicalModel, dict[str, int]] = {}
+
+    def _classify(self, *roots):
+        """Split every (submodel, world) under `roots` by atoms, then by
+        class and successors' classes, until the class count over all of
+        them stops growing."""
+        todo = list(roots)
+        while todo:
+            m = todo.pop()
+            if m not in self.succ:
+                self.succ[m] = _successors(m)
+                todo.extend(m.children.values())
+        nodes = [(m, w) for m in self.succ for w in m.worlds]
+        index = {node: k for k, node in enumerate(nodes)}
+        succ = [[index[m, w2] for w2 in self.succ[m][w]] for m, w in nodes]
+        ids: dict = {}
+        cls = [ids.setdefault(tuple(w in m.valuation.get(p, ()) for p in self.vocab.props), len(ids)) for m, w in nodes]
+        count = 0
+        while len(ids) > count:
+            count, ids, prev = len(ids), {}, cls
+            cls = [ids.setdefault((c, frozenset(map(prev.__getitem__, ts))), len(ids)) for c, ts in zip(prev, succ)]
+        for (m, w), c in zip(nodes, cls):
+            self.classes.setdefault(m, {})[w] = c
 
     def decide(self, m, n, s, t) -> Optional[frozenset]:
         """The first minimal surjective H ⊆ G(s,t) whose fixpoint contains
-        (s, t), or None when (m, s) and (n, t) are not bisimilar."""
+        (s, t), or None when (m, s) and (n, t) are not bisimilar, at once
+        when they are not plainly bisimilar."""
+        if not self.classes:
+            self._classify(m, n)
+        if self.classes[m][s] != self.classes[n][t]:
+            return None
         key = (m, n, s, t)
         if key not in self.covers:
             if (m, n) not in self.levels:

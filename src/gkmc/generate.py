@@ -97,6 +97,12 @@ def gen_model(spec: GenSpec) -> GenealogicalModel:
     """A valid random model, deterministic in the spec, depth <= max_depth."""
     if spec.closure not in (CLOSURE_NONE, CLOSURE_RT):
         raise ValueError(f"unknown closure flag {spec.closure!r}")
+    for name in ("max_worlds", "max_children", "max_depth", "prop_count", "constant_count"):
+        least = 1 if name == "max_worlds" else 0
+        if getattr(spec, name) < least:
+            raise ValueError(f"{name} must be at least {least}, not {getattr(spec, name)!r}")
+    if not 0 <= spec.edge_density <= 1:  # NaN fails every comparison
+        raise ValueError(f"edge density {spec.edge_density!r} is not in [0, 1]")
     props = _names(_PROPS, spec.prop_count, "p")
     consts = _names(_CONSTS, spec.constant_count, "c")
     return _gen_model(spec, spec.seed, spec.max_depth, props, consts)
@@ -104,7 +110,7 @@ def gen_model(spec: GenSpec) -> GenealogicalModel:
 
 def _gen_model(spec, seed, depth_left, props, consts) -> GenealogicalModel:
     rng = SplitMix64(seed)
-    worlds = tuple(f"s{k}" for k in range(1 + rng.below(max(1, spec.max_worlds))))
+    worlds = tuple(f"s{k}" for k in range(1 + rng.below(spec.max_worlds)))
 
     relation = set()
     for a in worlds:

@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import json
+import pathlib
 from dataclasses import replace
 
 import pytest
@@ -16,13 +18,14 @@ from gkmc.bisim import (
     witness_from_document,
     witness_to_document,
 )
-from gkmc.bisim import _Budget, _Ctx, _minimal_covers, _plain_pairs, _successors, _surjective
+from gkmc.bisim import _Budget, _Ctx, _minimal_covers, _successors, _surjective
 from gkmc.distinguish import EnumerationBudget, distinguish
 from gkmc.generate import GenSpec, SplitMix64, break_child, derive, dup_child, gen_model, retrack
 from gkmc.model import GenealogicalModel, PointedModel, load_model, model_vocabulary
 from gkmc.semantics import holds_at
 from gkmc.syntax import Vocabulary, format_formula
 
+REPO = pathlib.Path(__file__).resolve().parent.parent
 TINY = dict(max_worlds=3, max_children=2, max_depth=2, prop_count=1, constant_count=1, edge_density=0.45)
 
 
@@ -499,15 +502,28 @@ def _chain(length):
     return load_model(json.dumps({"worlds": worlds, "relation": [list(e) for e in zip(worlds, worlds[1:])]}))
 
 
+def _classified(m, n):
+    """A context whose one partition covers the trees of m and n."""
+    ctx = _Ctx(model_vocabulary(m, n), _Budget(DEFAULT_BUDGET))
+    ctx._classify(m, n)
+    return ctx
+
+
+def _same_class(ctx, a, b):
+    return {(u, v) for u in a.worlds for v in b.worlds if ctx.classes[a][u] == ctx.classes[b][v]}
+
+
+def _naive_plain_pairs(a, b, props):
+    return _refined({(u, v) for u in a.worlds for v in b.worlds if _atoms_agree(a, b, u, v, props)}, a, b)
+
+
 @pytest.mark.parametrize("m, n", [
     (gen_model(GenSpec(seed=3, max_worlds=8, prop_count=2, max_depth=0, edge_density=0.3)),) * 2,
     (_chain(3), _chain(5)),
     (_chain(4), _chain(4)),
 ])
 def test_plain_pairs_match_naive_refinement_on_atoms(m, n):
-    props = model_vocabulary(m, n).props
-    naive = _refined({(u, v) for u in m.worlds for v in n.worlds if _atoms_agree(m, n, u, v, props)}, m, n)
-    assert set(_plain_pairs(m, n, _successors(m), _successors(n), props)) == naive
+    assert _same_class(_classified(m, n), m, n) == _naive_plain_pairs(m, n, model_vocabulary(m, n).props)
 
 
 W8 = dict(max_worlds=8, max_children=4, max_depth=2, edge_density=0.4)
@@ -540,6 +556,64 @@ def test_candidates_equal_the_full_product_definition(kind, seed, spec):
     ctx.decide(m, n, s, t)
     for (a, b), level in list(ctx.levels.items()):
         assert level.candidates == _reference_candidates(ctx, a, b)
+
+
+def _submodels(*roots):
+    found, todo = set(), list(roots)
+    while todo:
+        m = todo.pop()
+        if m not in found:
+            found.add(m)
+            todo.extend(m.children.values())
+    return found
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(st.sampled_from(["independent", "dup_child", "break_child", "chains"]), st.integers(0, 10_000), st.sampled_from([TINY, W8]))
+def test_one_partition_matches_naive_refinement_for_every_submodel_pair(kind, seed, spec):
+    m, n = (_chain(3), _chain(5)) if kind == "chains" else _candidate_pair(kind, seed, spec)[:2]
+    ctx = _classified(m, n)
+    props = ctx.vocab.props
+    for a in _submodels(m, n):
+        for b in _submodels(m, n):
+            assert _same_class(ctx, a, b) == _naive_plain_pairs(a, b, props)
+
+
+def _cycle_and_longer_chain():
+    """a -> b -> a against the chain a0 -> b0 -> a1 -> b1, p at the a
+    worlds.  Alone, each model's partition is stable by round 2; over
+    both, the roots split only at round 4, when b1's dead end reaches a0."""
+    cycle = load_model(json.dumps({"worlds": ["a", "b"], "relation": [["a", "b"], ["b", "a"]], "valuation": {"p": ["a"]}}))
+    chain = load_model(json.dumps({
+        "worlds": ["a0", "b0", "a1", "b1"],
+        "relation": [["a0", "b0"], ["b0", "a1"], ["a1", "b1"]],
+        "valuation": {"p": ["a0", "a1"]},
+    }))
+    return cycle, chain
+
+
+def test_refinement_runs_until_the_union_is_stable():
+    cycle, chain = _cycle_and_longer_chain()
+    ctx = _classified(cycle, chain)
+    assert ctx.classes[cycle]["a"] != ctx.classes[chain]["a0"]
+    assert _same_class(ctx, cycle, chain) == _naive_plain_pairs(cycle, chain, ctx.vocab.props) == set()
+    assert not brute_force_bisim(PointedModel(cycle, "a"), PointedModel(chain, "a0"))
+
+
+def test_decide_outside_one_class_builds_no_level():
+    cycle, chain = _cycle_and_longer_chain()
+    ctx = _Ctx(model_vocabulary(cycle, chain), _Budget(DEFAULT_BUDGET))
+    assert ctx.decide(cycle, chain, "a", "a0") is None
+    assert not ctx.levels and not ctx.covers
+
+
+def test_wide_dup_child_cascade_stays_inside_plain_classes():
+    m = gen_model(GenSpec(seed=4, max_worlds=16, max_children=6, max_depth=3, edge_density=0.4))
+    d = dup_child(m, sorted(m.children)[0])
+    ctx = _Ctx(model_vocabulary(m, d), _Budget(DEFAULT_BUDGET))
+    assert ctx.decide(m, d, m.worlds[0], d.worlds[0]) is not None
+    # A level per pair of plainly bisimilar submodels met: 89, not 347.
+    assert len(ctx.levels) < 150
 
 
 def test_wide_dup_child_cascade_decides_through_few_levels():
@@ -586,3 +660,15 @@ def test_search_agrees_with_oracle_on_retrack_pairs():
             cover_rejections += not found and (w, w) in ctx.levels[m, r].candidates
     # The population reaches the case only the cover search decides.
     assert cover_rejections
+
+
+# --- pinned output ----------------------------------------------------------
+
+
+def test_bisim_digest_is_pinned():
+    # Verdicts and witness documents of 200 tiny, dup_child, break_child and
+    # retrack pairs; a change here changes what bisimilar returns.
+    spec = importlib.util.spec_from_file_location("bisim_digest", REPO / "scripts" / "bisim_digest.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.digest(200, 0) == "1a5d90ecd73b1abe9f75f2486ce7a3bbca8975f5704460d46e9e3583ef03a5e4"

@@ -395,8 +395,13 @@ def test_cli_exit_code_contract_on_generated_invocations(tiny_models, data):
     def world(worlds):
         return data.draw(st.sampled_from([*worlds, "nowhere"]))
 
-    command = data.draw(st.sampled_from(["fmt", "eval", "bisim", "distinguish"]))
-    if command in ("fmt", "eval"):
+    command = data.draw(st.sampled_from(["fmt", "eval", "bisim", "distinguish", "gen"]))
+    if command == "gen":
+        sizes = {flag: data.draw(st.integers(-1, 2)) for flag in ("--max-worlds", "--max-children", "--max-depth", "--props", "--constants")}
+        density = data.draw(st.sampled_from([float("nan"), -0.5, 0.0, 0.3, 1.0, 1.5]))
+        argv = [command, "--density", str(density), *(str(x) for item in sizes.items() for x in item)]
+        spec_ok = sizes.pop("--max-worlds") >= 1 and min(sizes.values()) >= 0 and 0 <= density <= 1
+    elif command in ("fmt", "eval"):
         argv = [command, data.draw(_sentence_texts)]
         if command == "eval":
             path, worlds = model()
@@ -420,6 +425,8 @@ def test_cli_exit_code_contract_on_generated_invocations(tiny_models, data):
     assert code in (0, 1, 2, 3), (argv, out.getvalue())
     if command == "distinguish" and min(depth, modal) < 0:
         assert code == 2, (argv, out.getvalue())
+    if command == "gen":
+        assert code == (0 if spec_ok else 2), (argv, out.getvalue())
     if code == 1:
         payload = json.loads(out.getvalue())
         assert any(payload.get(key) is False for key in ("holds", "bisimilar", "valid")), (argv, payload)
