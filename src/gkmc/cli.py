@@ -71,8 +71,11 @@ class _InputError(Exception):
 def _load_vocab(path) -> Vocabulary:
     try:
         doc = json.loads(_read(path))
-        return Vocabulary.of(props=doc.get("props", []), constants=doc.get("constants", []))
-    except (json.JSONDecodeError, ValueError, AttributeError) as exc:
+        names = [doc.get(key, []) for key in ("props", "constants")] if isinstance(doc, dict) else None
+        if names is None or not all(isinstance(ns, list) and all(isinstance(n, str) for n in ns) for ns in names):
+            raise ValueError('want an object whose "props" and "constants" are arrays of strings')
+        return Vocabulary.of(*names)
+    except (json.JSONDecodeError, ValueError, RecursionError) as exc:
         raise _InputError(f"bad vocabulary file {path}: {exc}")
 
 

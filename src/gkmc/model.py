@@ -22,14 +22,16 @@ Documents are UTF-8 JSON with extension `.gkm.json`:
 Unknown fields are rejected.  When a node's closure flag is
 "reflexive-transitive" its relation is replaced by the reflexive
 transitive closure before validation; the flag itself is not stored.
+A document nested deeper than the JSON decoder's recursion limit (about
+490 generations of children) is a format error, as is invalid JSON.
 Loaded models are immutable and may be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from itertools import chain
 
 from .syntax import Vocabulary, is_valid_name
 
@@ -79,23 +81,23 @@ class ModelInvalidError(ValueError):
 
 
 def rt_closure(relation, worlds) -> frozenset[tuple[str, str]]:
-    """Smallest reflexive and transitive superset of `relation` over `worlds`."""
-    succ = {w: set() for w in worlds}
+    """Smallest reflexive and transitive superset of `relation` over `worlds`
+    and the endpoints of `relation` (validation reports unknown ones)."""
+    succ = {w: {w} for w in worlds}
     for a, b in relation:
-        succ[a].add(b)
-    for w in worlds:
-        succ[w].add(w)
+        succ.setdefault(a, {a}).add(b)
+        succ.setdefault(b, {b})
     changed = True
     while changed:
         changed = False
-        for a in worlds:
-            reach = set(succ[a])
-            for b in list(succ[a]):
+        for a, out in succ.items():
+            reach = set(out)
+            for b in out:
                 reach |= succ[b]
-            if reach != succ[a]:
+            if reach != out:
                 succ[a] = reach
                 changed = True
-    return frozenset((a, b) for a in worlds for b in succ[a])
+    return frozenset((a, b) for a, out in succ.items() for b in out)
 
 
 CLOSURE_NONE = "none"
@@ -105,83 +107,83 @@ _ALLOWED_KEYS = {"worlds", "relation", "closure", "valuation", "children", "assi
 
 
 def _reject_duplicate_keys(pairs):
-    seen = set()
-    for key, _ in pairs:
-        if key in seen:
-            raise DocumentFormatError(f"duplicate key {key!r}")
-        seen.add(key)
-    return dict(pairs)
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DocumentFormatError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
 
 
-def _want(value, types, path, what):
-    if not isinstance(value, types):
-        raise DocumentFormatError(f"{path or '<root>'}: {what}")
-    return value
+def _fail(path: str, piece: str, what: str):
+    raise DocumentFormatError(f"{_join(path, piece)}: {what}")
+
+
+def _strings(items) -> bool:
+    for item in items:
+        if type(item) is not str:
+            return False
+    return True
+
+
+def _table(obj: dict, key: str, path: str) -> dict:
+    table = obj.get(key, {})
+    if type(table) is not dict:
+        _fail(path, key, "must be an object")
+    return table
 
 
 def _build(obj, path: str) -> GenealogicalModel:
-    _want(obj, dict, path, "model must be a JSON object")
-    unknown = sorted(set(obj) - _ALLOWED_KEYS)
-    if unknown:
-        raise DocumentFormatError(f"{path or '<root>'}: unknown field(s): " + ", ".join(unknown))
+    # This runs on every element of every document loaded: each element
+    # gets one type test, and paths and messages are built only to raise.
+    if type(obj) is not dict:
+        raise DocumentFormatError(f"{path or '<root>'}: model must be a JSON object")
+    if not obj.keys() <= _ALLOWED_KEYS:
+        unknown = ", ".join(sorted(obj.keys() - _ALLOWED_KEYS))
+        raise DocumentFormatError(f"{path or '<root>'}: unknown field(s): {unknown}")
     if "worlds" not in obj:
         raise DocumentFormatError(f"{path or '<root>'}: missing required field 'worlds'")
+    worlds = obj["worlds"]
+    if type(worlds) is not list or not _strings(worlds):
+        _fail(path, "worlds", "must be an array of strings")
 
-    worlds_raw = _want(obj["worlds"], list, _join(path, "worlds"), "must be an array of strings")
-    for w in worlds_raw:
-        _want(w, str, _join(path, "worlds"), "must be an array of strings")
-    worlds = tuple(worlds_raw)
+    relation = obj.get("relation", [])
+    if type(relation) is not list:
+        _fail(path, "relation", "must be an array of pairs")
+    for k, pair in enumerate(relation):
+        if type(pair) is not list or len(pair) != 2 or type(pair[0]) is not str or type(pair[1]) is not str:
+            _fail(path, f"relation[{k}]", "must be a 2-element array of strings")
+    relation = frozenset(map(tuple, relation))
 
-    relation = set()
-    for k, pair in enumerate(_want(obj.get("relation", []), list, _join(path, "relation"), "must be an array of pairs")):
-        p = _join(path, f"relation[{k}]")
-        _want(pair, list, p, "must be a 2-element array of strings")
-        if len(pair) != 2 or not all(isinstance(x, str) for x in pair):
-            raise DocumentFormatError(f"{p}: must be a 2-element array of strings")
-        relation.add((pair[0], pair[1]))
+    closure = obj.get("closure", CLOSURE_NONE)
+    if closure != CLOSURE_NONE and closure != CLOSURE_RT:
+        _fail(path, "closure", f'must be "{CLOSURE_NONE}" or "{CLOSURE_RT}"' if type(closure) is str else "must be a string")
 
-    closure = _want(obj.get("closure", CLOSURE_NONE), str, _join(path, "closure"), "must be a string")
-    if closure not in (CLOSURE_NONE, CLOSURE_RT):
-        raise DocumentFormatError(f"{_join(path, 'closure')}: must be \"{CLOSURE_NONE}\" or \"{CLOSURE_RT}\"")
-
-    valuation = {}
-    for prop, ws in _want(obj.get("valuation", {}), dict, _join(path, "valuation"), "must be an object").items():
-        p = _join(path, f"valuation.{prop}")
-        _want(ws, list, p, "must be an array of worlds")
-        for w in ws:
-            _want(w, str, p, "must be an array of worlds")
+    valuation = _table(obj, "valuation", path)
+    for prop, ws in valuation.items():
+        if type(ws) is not list or not _strings(ws):
+            _fail(path, f"valuation.{prop}", "must be an array of worlds")
         valuation[prop] = frozenset(ws)
-
-    children = {}
-    for label, sub in _want(obj.get("children", {}), dict, _join(path, "children"), "must be an object").items():
+    children = _table(obj, "children", path)
+    for label, sub in children.items():
         children[label] = _build(sub, _join(path, f"children.{label}"))
-
-    assignment = {}
-    for world, row in _want(obj.get("assignment", {}), dict, _join(path, "assignment"), "must be an object").items():
-        p = _join(path, f"assignment.{world}")
-        _want(row, dict, p, "must be an object mapping constants to child labels")
-        for const, label in row.items():
-            _want(label, str, p, "must be an object mapping constants to child labels")
-        if row:
-            assignment[world] = dict(row)
-
-    tracking = {}
-    for world, row in _want(obj.get("tracking", {}), dict, _join(path, "tracking"), "must be an object").items():
-        p = _join(path, f"tracking.{world}")
-        _want(row, dict, p, "must be an object mapping child labels to child worlds")
-        for label, w in row.items():
-            _want(w, str, p, "must be an object mapping child labels to child worlds")
-        tracking[world] = dict(row)
-
-    if closure == CLOSURE_RT:
-        relation = rt_closure(relation, worlds)
+    assignment = _table(obj, "assignment", path)
+    for world, row in assignment.items():
+        if type(row) is not dict or not _strings(row.values()):
+            _fail(path, f"assignment.{world}", "must be an object mapping constants to child labels")
+    tracking = _table(obj, "tracking", path)
+    for world, row in tracking.items():
+        if type(row) is not dict or not _strings(row.values()):
+            _fail(path, f"tracking.{world}", "must be an object mapping child labels to child worlds")
 
     return GenealogicalModel(
-        worlds=worlds,
-        relation=frozenset(relation),
+        worlds=tuple(worlds),
+        relation=rt_closure(relation, worlds) if closure == CLOSURE_RT else relation,
         valuation=valuation,
         children=children,
-        assignment=assignment,
+        assignment={world: row for world, row in assignment.items() if row},
         tracking=tracking,
     )
 
@@ -196,57 +198,78 @@ def parse_document(text: str) -> GenealogicalModel:
         obj = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise DocumentFormatError(f"not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # the decoder recurses once per nested array or object
+        raise DocumentFormatError("document nested too deeply for the JSON decoder") from exc
     return _build(obj, "")
 
 
 def validate(m: GenealogicalModel) -> ModelDiagnostics:
     """Check every structural invariant, recursively at every generation."""
     violations: list[ModelViolation] = []
-    _validate_into(m, "", violations)
+    _validate_into(m, "", violations, set())
     return ModelDiagnostics(not violations, tuple(violations))
 
 
-def _validate_into(m: GenealogicalModel, path: str, out: list[ModelViolation]):
+def _validate_into(m: GenealogicalModel, path: str, out: list[ModelViolation], good: set):
+    # Each rule tests its whole table at once and, only when that fails,
+    # reports the offending entries or rows in sorted order.  `good` holds
+    # the names `is_valid_name` accepted earlier in this `validate` call.
     worlds = set(m.worlds)
     if not m.worlds:
         out.append(ModelViolation("S-nonempty", path, "worlds must be non-empty"))
     if len(worlds) != len(m.worlds):
         out.append(ModelViolation("S-duplicate", path, "world names must be unique"))
-    for a, b in sorted(m.relation):
-        if a not in worlds or b not in worlds:
+    if not worlds.issuperset(chain.from_iterable(m.relation)):
+        for a, b in sorted(pair for pair in m.relation if not worlds.issuperset(pair)):
             out.append(ModelViolation("R-endpoints", path, f"relation pair ({a!r}, {b!r}) mentions unknown world"))
-    for prop in sorted(m.valuation):
-        if not is_valid_name(prop):
-            out.append(ModelViolation("V-prop-name", path, f"invalid proposition name {prop!r}"))
-        for w in sorted(m.valuation[prop]):
-            if w not in worlds:
+    if not (good.issuperset(m.valuation) and worlds.issuperset(chain.from_iterable(m.valuation.values()))):
+        good.update(prop for prop in m.valuation if is_valid_name(prop))
+        for prop in sorted(m.valuation.keys() - good | {prop for prop, ws in m.valuation.items() if not worlds.issuperset(ws)}):
+            if prop not in good:
+                out.append(ModelViolation("V-prop-name", path, f"invalid proposition name {prop!r}"))
+            for w in sorted(w for w in m.valuation[prop] if w not in worlds):
                 out.append(ModelViolation("V-subset", path, f"valuation of {prop!r} mentions unknown world {w!r}"))
     for label in m.children:
         if not label:
             out.append(ModelViolation("N-label", path, "child labels must be non-empty"))
-    for world in sorted(m.assignment):
-        if world not in worlds:
-            out.append(ModelViolation("I-world", path, f"assignment row for unknown world {world!r}"))
-        for const, label in sorted(m.assignment[world].items()):
-            if not is_valid_name(const):
-                out.append(ModelViolation("I-const-name", path, f"invalid constant name {const!r}"))
-            if label not in m.children:
-                out.append(ModelViolation("I-range", path, f"constant {const!r} at world {world!r} points to unknown child {label!r}"))
-    for world in sorted(m.tracking):
-        if world not in worlds:
-            out.append(ModelViolation("T-world", path, f"tracking row for unknown world {world!r}"))
-        for label, w in sorted(m.tracking[world].items()):
-            if label not in m.children:
-                out.append(ModelViolation("T-label", path, f"tracking at world {world!r} mentions unknown child {label!r}"))
-            elif w not in m.children[label].worlds:
-                out.append(ModelViolation("T-range", path, f"tracking of child {label!r} at world {world!r} is not a world of that child"))
+    rows = m.assignment.values()
+    if not (
+        good.issuperset(chain.from_iterable(rows))
+        and worlds.issuperset(m.assignment)
+        and all(map(m.children.__contains__, chain.from_iterable(map(dict.values, rows))))
+    ):
+        good.update(const for const in chain.from_iterable(rows) if is_valid_name(const))
+        for world in sorted(
+            world for world, row in m.assignment.items()
+            if world not in worlds or not good.issuperset(row) or not m.children.keys() >= set(row.values())
+        ):
+            if world not in worlds:
+                out.append(ModelViolation("I-world", path, f"assignment row for unknown world {world!r}"))
+            for const, label in sorted(m.assignment[world].items()):
+                if const not in good:
+                    out.append(ModelViolation("I-const-name", path, f"invalid constant name {const!r}"))
+                if label not in m.children:
+                    out.append(ModelViolation("I-range", path, f"constant {const!r} at world {world!r} points to unknown child {label!r}"))
+    if m.tracking:
+        entries = {(label, w) for label, child in m.children.items() for w in child.worlds}
+        if not (worlds.issuperset(m.tracking) and entries.issuperset(chain.from_iterable(map(dict.items, m.tracking.values())))):
+            for world in sorted(world for world, row in m.tracking.items() if world not in worlds or not entries.issuperset(row.items())):
+                if world not in worlds:
+                    out.append(ModelViolation("T-world", path, f"tracking row for unknown world {world!r}"))
+                for label, w in sorted(m.tracking[world].items()):
+                    if label not in m.children:
+                        out.append(ModelViolation("T-label", path, f"tracking at world {world!r} mentions unknown child {label!r}"))
+                    elif (label, w) not in entries:
+                        out.append(ModelViolation("T-range", path, f"tracking of child {label!r} at world {world!r} is not a world of that child"))
     if m.children:
         for world in m.worlds:
-            for label in m.children:
-                if m.tracking.get(world, {}).get(label) is None:
-                    out.append(ModelViolation("T-total", path, f"tracking not total: no entry for world {world!r}, child {label!r}"))
+            row = m.tracking.get(world, {})
+            if not row.keys() >= m.children.keys() or None in row.values():
+                for label in m.children:
+                    if row.get(label) is None:
+                        out.append(ModelViolation("T-total", path, f"tracking not total: no entry for world {world!r}, child {label!r}"))
     for label, child in m.children.items():
-        _validate_into(child, _join(path, f"children.{label}"), out)
+        _validate_into(child, _join(path, f"children.{label}"), out, good)
 
 
 def load_model(text: str) -> GenealogicalModel:

@@ -221,8 +221,7 @@ class UnknownNameError(ParseError):
     pass
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str
     text: str
     line: int
@@ -258,16 +257,15 @@ def _tokenize(text: str) -> list[_Token]:
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise LexError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+        start, pos = m.span()
         kind = m.lastgroup
-        raw = m.group()
         if kind != "ws":
-            tokens.append(_Token(kind, raw, line, m.start() - line_start + 1))
+            tokens.append(_Token(kind, text[start:pos], line, start - line_start + 1))
         else:
-            nl = raw.count("\n")
+            nl = text.count("\n", start, pos)
             if nl:
                 line += nl
-                line_start = m.start() + raw.rindex("\n") + 1
-        pos = m.end()
+                line_start = text.rindex("\n", start, pos) + 1
     tokens.append(_Token("eof", "", line, pos - line_start + 1))
     return tokens
 

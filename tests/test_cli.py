@@ -1,6 +1,10 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +16,7 @@ from gkmc.model import PointedModel, dump_model, load_model, load_model_file
 from gkmc.syntax import Vocabulary, format_formula
 
 from conftest import fixture_path
+from input_corpus import mutated_documents
 
 
 def run(capsys, *argv):
@@ -57,6 +62,52 @@ def test_validate_tracking_gap(capsys, tmp_path):
     assert "T-total" in out
 
 
+_DEEP_VALUATION = '{"worlds": ["s"], "valuation": {"p": ' + "[" * 3000 + "]" * 3000 + "}}"
+
+
+def _chain(generations: int) -> str:
+    """A valid model with one child per generation, `generations` deep."""
+    text = '{"worlds": ["s"]}'
+    for _ in range(generations):
+        text = '{"worlds": ["s"], "children": {"n": ' + text + '}, "tracking": {"s": {"n": "s"}}}'
+    return text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [_DEEP_VALUATION, _chain(600)],
+    ids=["valuation-3000-deep", "chain-600"],
+)
+def test_validate_too_deep_document_is_an_input_error(capsys, tmp_path, text):
+    path = tmp_path / "deep.gkm.json"
+    path.write_text(text)
+    code, out = run(capsys, "--json", "validate", str(path))
+    assert code == 2
+    assert json.loads(out) == {"error": "format", "message": "document nested too deeply for the JSON decoder"}
+
+
+def test_validate_480_generation_chain_loads(tmp_path):
+    # In a fresh process: the decoder's depth limit counts the frames
+    # already on the stack, and pytest's are many.
+    path = tmp_path / "chain.gkm.json"
+    path.write_text(_chain(480))
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "gkmc.cli", "--json", "validate", str(path)], capture_output=True, text=True, env=env)
+    assert (done.returncode, done.stdout) == (0, '{"valid":true}\n')
+
+
+def test_validate_closure_over_unknown_world_is_a_violation(capsys, tmp_path):
+    path = tmp_path / "rt.gkm.json"
+    path.write_text('{"worlds": ["a"], "relation": [["a", "b"]], "closure": "reflexive-transitive"}')
+    code, out = run(capsys, "--json", "validate", str(path))
+    assert code == 1
+    assert json.loads(out)["violations"] == [
+        "R-endpoints at <root>: relation pair ('a', 'b') mentions unknown world",
+        "R-endpoints at <root>: relation pair ('b', 'b') mentions unknown world",
+    ]
+
+
 # --- eval ----------------------------------------------------------------
 
 
@@ -99,6 +150,19 @@ def test_eval_vocab_override(capsys, tmp_path):
     vocab.write_text('{"props": ["r", "extra"], "constants": ["c"]}')
     code, _ = run(capsys, "eval", fixture_path("de_dicto.gkm.json"), "extra | T", "--vocab", str(vocab))
     assert code == 0
+
+
+@pytest.mark.parametrize(
+    "vocab_text",
+    ['{"props": 5}', '{"props": [1]}', '{"props": [null]}', '{"constants": 3}', '{"props": "pq"}'],
+    ids=["props-number", "props-number-item", "props-null-item", "constants-number", "props-string"],
+)
+def test_eval_malformed_vocab_is_an_input_error(capsys, tmp_path, vocab_text):
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(vocab_text)
+    code, out = run(capsys, "--json", "eval", fixture_path("de_dicto.gkm.json"), "T", "--vocab", str(vocab))
+    assert code == 2
+    assert json.loads(out)["error"] == "input"
 
 
 # --- bisim ---------------------------------------------------------------
@@ -386,36 +450,87 @@ def tiny_models(tmp_path_factory):
     return out
 
 
-@settings(max_examples=150, deadline=None)
+@pytest.fixture(scope="module")
+def corpus_models(tmp_path_factory):
+    """(path, worlds) of mutated documents from the pinned input corpus,
+    most of them malformed or invalid."""
+    return _write_documents(tmp_path_factory.mktemp("corpus"), mutated_documents(150, 0))
+
+
+@pytest.fixture(scope="module")
+def deep_models(tmp_path_factory):
+    """(path, worlds) of documents nested at or beyond the decoder's limit."""
+    return _write_documents(tmp_path_factory.mktemp("deep"), [_DEEP_VALUATION, _chain(600), _chain(480)])
+
+
+def _write_documents(root, texts):
+    out = []
+    for k, text in enumerate(texts):
+        path = root / f"d{k}.gkm.json"
+        path.write_text(text)
+        out.append((str(path), ("s", "s0", "s1")))
+    return out
+
+
+@pytest.fixture(scope="module")
+def vocab_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("vocab") / "vocab.json"
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_name_lists = st.lists(st.sampled_from(["p", "q", "r", "c", "d", "forall", "P", "", "x1"]), max_size=3)
+_vocab_fields = st.fixed_dictionaries({}, optional={"props": _name_lists | _json_values, "constants": _name_lists | _json_values})
+_vocab_docs = st.one_of(_json_values, _vocab_fields, _vocab_fields)
+
+
+@settings(max_examples=300, deadline=None)
 @given(data=st.data())
-def test_cli_exit_code_contract_on_generated_invocations(tiny_models, data):
-    def model():
-        return data.draw(st.sampled_from(tiny_models))
+def test_cli_exit_code_contract_on_generated_invocations(tiny_models, corpus_models, deep_models, vocab_path, data):
+    def model(deep=False):
+        # bisim and distinguish still recurse once per generation (ROADMAP
+        # item 3), so only validate and eval read the deep documents.
+        sources = [tiny_models, corpus_models, *([deep_models] if deep else [])]
+        return data.draw(st.one_of(*map(st.sampled_from, sources)))
 
     def world(worlds):
         return data.draw(st.sampled_from([*worlds, "nowhere"]))
 
-    command = data.draw(st.sampled_from(["fmt", "eval", "bisim", "distinguish", "gen"]))
+    def vocab_flag():
+        if not data.draw(st.booleans()):
+            return []
+        vocab_path.write_text(json.dumps(data.draw(_vocab_docs)))
+        return ["--vocab", str(vocab_path)]
+
+    command = data.draw(st.sampled_from(["fmt", "eval", "bisim", "distinguish", "gen", "validate"]))
     if command == "gen":
         sizes = {flag: data.draw(st.integers(-1, 2)) for flag in ("--max-worlds", "--max-children", "--max-depth", "--props", "--constants")}
         density = data.draw(st.sampled_from([float("nan"), -0.5, 0.0, 0.3, 1.0, 1.5]))
         argv = [command, "--density", str(density), *(str(x) for item in sizes.items() for x in item)]
         spec_ok = sizes.pop("--max-worlds") >= 1 and min(sizes.values()) >= 0 and 0 <= density <= 1
+    elif command == "validate":
+        argv = [command, model(deep=True)[0]]
     elif command in ("fmt", "eval"):
         argv = [command, data.draw(_sentence_texts)]
         if command == "eval":
-            path, worlds = model()
+            path, worlds = model(deep=True)
             argv.insert(1, path)
             if data.draw(st.booleans()):
                 argv += ["--world", world(worlds)]
+            argv += vocab_flag()
     else:
         (p1, w1), (p2, w2) = model(), model()
         argv = [command, p1, world(w1), p2, world(w2)]
         if command == "distinguish":
             depth, modal = data.draw(st.integers(-2, 2)), data.draw(st.integers(-2, 2))
             argv += ["--max-depth", str(depth), "--max-modal-depth", str(modal)]
-        elif data.draw(st.booleans()):
-            argv += ["--budget", str(data.draw(st.integers(0, 3)))]
+        else:
+            argv += vocab_flag()
+            if data.draw(st.booleans()):
+                argv += ["--budget", str(data.draw(st.integers(0, 3)))]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         try:

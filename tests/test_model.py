@@ -220,3 +220,16 @@ def test_load_accepts_only_validated():
         m = gen_model(GenSpec(seed=seed))
         loaded = load_model(dump_model(m))
         assert validate(loaded).verdict
+
+
+# --- input layer, pinned -----------------------------------------------
+
+
+def test_input_layer_answers_are_pinned():
+    # One SHA-256 over the format errors, violations, dumps and parse
+    # errors of a seeded corpus of mutated documents and sentences (see
+    # tests/input_corpus.py); any change to a message, path, order,
+    # line or column changes it.
+    from input_corpus import digest
+
+    assert digest() == "7115d0c21b4ee98f9c91026bd9a8e39de129a980ed1204360173a0fda4033602"
