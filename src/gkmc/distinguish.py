@@ -25,14 +25,25 @@ whole cost batch at a time, and shared by every reader: repeated
 Only the most recent setting's stream is kept: about 5.4 MB at cost 4,
 modal depth 4 over `{p}`/`{c}`, and 49 MB at cost 5.  A one-shot CLI run
 builds it once, as before.
+
+Bisimilar pointed models agree on every sentence (the invariance
+result, which the tests check on the stream directly), so on a bisimilar
+pair the search cannot succeed.  `distinguish` asks `bisimilar` once,
+just before the last cost batch: a bisimilar verdict whose witness
+passes `check_witness` ends the search with None, the answer the stream
+would give.  A budget cutoff or a witness that fails its check proves
+nothing, and the search reads the last batch as before.  A None is still
+"unknown", never reported as bisimilarity.
 """
 
 from __future__ import annotations
 
+import itertools
 import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
+from .bisim import DEFAULT_BUDGET, BudgetExceededError, bisimilar, check_witness
 from .model import PointedModel
 from .semantics import Evaluator, holds_at
 from .syntax import (
@@ -208,15 +219,20 @@ _lock = threading.Lock()
 _stream: Optional[_Stream] = None  # the most recent setting's stream
 
 
-def enumerate_sentences(budget: EnumerationBudget) -> Iterator[Formula]:
-    """All sentences in the canonical fragment, in size-then-text order,
-    duplicates removed; every yielded formula passes the sentence check."""
+def _stream_for(budget: EnumerationBudget) -> _Stream:
+    """The shared stream of the budget's setting, replacing any other."""
     global _stream
     key = (budget.max_modal_depth, budget.vocab, budget.allow_xi)
     with _lock:
         if _stream is None or _stream.key != key:
             _stream = _Stream(*key)
-        stream = _stream
+        return _stream
+
+
+def enumerate_sentences(budget: EnumerationBudget) -> Iterator[Formula]:
+    """All sentences in the canonical fragment, in size-then-text order,
+    duplicates removed; every yielded formula passes the sentence check."""
+    stream = _stream_for(budget)
     start = 0
     for cost in range(budget.max_connective_depth + 1):
         end = stream.end(cost)
@@ -227,10 +243,32 @@ def enumerate_sentences(budget: EnumerationBudget) -> Iterator[Formula]:
 def distinguish(pm: PointedModel, pn: PointedModel, budget: EnumerationBudget) -> Optional[Formula]:
     """First enumerated sentence the two pointed models disagree on, or
     None when the whole fragment agrees.  Every hit is re-verified by an
-    independent unmemoized evaluation before being returned."""
+    independent unmemoized evaluation before being returned.  Just before
+    the last cost batch, a checked proof of bisimilarity answers None
+    without reading that batch."""
+    stream = _stream_for(budget)
+    sentences = enumerate_sentences(budget)
     left = Evaluator()
     right = Evaluator()
-    for sentence in enumerate_sentences(budget):
+    last = budget.max_connective_depth
+    start = 0
+    for cost in range(last + 1):
+        if cost == last and _proved_bisimilar(pm, pn, budget.vocab):
+            return None
+        # Read one batch, built first as the reader would build it on
+        # entering it; islice stops without asking for the next sentence.
+        end = stream.end(cost)
+        separator = _first_separator(pm, pn, itertools.islice(sentences, end - start), left, right)
+        if separator is not None:
+            return separator
+        start = end
+    return None
+
+
+def _first_separator(
+    pm: PointedModel, pn: PointedModel, sentences: Iterator[Formula], left: Evaluator, right: Evaluator
+) -> Optional[Formula]:
+    for sentence in sentences:
         sat_m = pm.world in left.sentence_worlds(pm.model, sentence)
         sat_n = pn.world in right.sentence_worlds(pn.model, sentence)
         if sat_m != sat_n:
@@ -242,3 +280,13 @@ def distinguish(pm: PointedModel, pn: PointedModel, budget: EnumerationBudget) -
                 )
             return sentence
     return None
+
+
+def _proved_bisimilar(pm: PointedModel, pn: PointedModel, vocab: Vocabulary) -> bool:
+    """Whether `bisimilar` finds the pair bisimilar over `vocab` with a
+    witness that `check_witness` accepts.  A budget cutoff proves nothing."""
+    try:
+        verdict = bisimilar(pm, pn, vocab=vocab, budget=DEFAULT_BUDGET)
+    except BudgetExceededError:
+        return False
+    return verdict.bisimilar and check_witness(pm, pn, verdict.witness, vocab=vocab).ok

@@ -293,7 +293,7 @@ def to_document(m: GenealogicalModel) -> dict:
     order = {w: k for k, w in enumerate(m.worlds)}
     if any(m.valuation.values()):
         doc["valuation"] = {
-            prop: sorted(ws, key=lambda w: order.get(w, len(order)))
+            prop: sorted(ws, key=lambda w: (order.get(w, len(order)), w))
             for prop, ws in sorted(m.valuation.items())
             if ws
         }

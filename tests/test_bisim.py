@@ -2,7 +2,6 @@ import importlib.util
 import itertools
 import json
 import pathlib
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,13 +19,14 @@ from gkmc.bisim import (
 )
 from gkmc.bisim import _Budget, _Ctx, _minimal_covers, _successors, _surjective
 from gkmc.distinguish import EnumerationBudget, distinguish
-from gkmc.generate import GenSpec, SplitMix64, break_child, derive, dup_child, gen_model, retrack
+from gkmc.generate import GenSpec, break_child, dup_child, gen_model
 from gkmc.model import GenealogicalModel, PointedModel, load_model, model_vocabulary
 from gkmc.semantics import holds_at
 from gkmc.syntax import Vocabulary, format_formula
 
+from conftest import TINY, twins_and_retrack
+
 REPO = pathlib.Path(__file__).resolve().parent.parent
-TINY = dict(max_worlds=3, max_children=2, max_depth=2, prop_count=1, constant_count=1, edge_density=0.45)
 
 
 def _pointed(m, k=0):
@@ -629,26 +629,10 @@ def test_wide_dup_child_cascade_decides_through_few_levels():
 # --- retrack pairs ----------------------------------------------------------
 
 
-def _twins_and_retrack(seed):
-    """A tiny model with its first child under two labels, `a` tracked as
-    generated and `b` at seeded random worlds, and its `retrack` at a
-    seeded world; None when the model has no child."""
-    m = gen_model(GenSpec(seed=seed, **TINY))
-    if not m.children:
-        return None
-    rng = SplitMix64(derive(seed, "retrack"))
-    first = sorted(m.children)[0]
-    child = m.children[first]
-    tracking = {w: {"a": row[first], "b": rng.choice(child.worlds)} for w, row in m.tracking.items()}
-    assignment = {w: dict.fromkeys(row, "a") for w, row in m.assignment.items()}
-    m = replace(m, children={"a": child, "b": child}, tracking=tracking, assignment=assignment)
-    return m, retrack(m, rng.choice(m.worlds), "a", "b")
-
-
 def test_search_agrees_with_oracle_on_retrack_pairs():
     cover_rejections = 0
     for seed in range(60):
-        pair = _twins_and_retrack(seed)
+        pair = twins_and_retrack(seed)
         if pair is None:
             continue
         m, r = pair

@@ -1,19 +1,22 @@
 import gc
 import hashlib
-import importlib
+import importlib.util
 import itertools
+import pathlib
 import sys
 import threading
 import weakref
 
 import pytest
 
-from gkmc.bisim import bisimilar, brute_force_bisim
+from gkmc.bisim import BisimVerdict, BisimWitness, BudgetExceededError, bisimilar, brute_force_bisim
 from gkmc.distinguish import EnumerationBudget, distinguish, enumerate_sentences
-from gkmc.generate import GenSpec, SplitMix64, break_child, dup_child, gen_model
-from gkmc.model import GenealogicalModel, PointedModel
-from gkmc.semantics import holds_at
+from gkmc.generate import GenSpec, SplitMix64, break_child, derive, dup_child, gen_model
+from gkmc.model import GenealogicalModel, PointedModel, same_structure
+from gkmc.semantics import Evaluator, holds_at
 from gkmc.syntax import Prop, Vocabulary, check_sentence, format_formula, parse
+
+from conftest import TINY, twins_and_retrack
 
 P_ONLY = Vocabulary.of(props=["p"])
 P_C = Vocabulary.of(props=["p"], constants=["c"])
@@ -228,19 +231,60 @@ def test_identical_pointed_models_never_separated():
         assert distinguish(_pointed(m), _pointed(m), EnumerationBudget(d, d, P_C)) is None
 
 
+def _agree_on_stream(pairs, budget):
+    """Count the sentences of the whole stream on which a pointed pair
+    disagrees, evaluating each directly and never through `distinguish`.
+    `pairs` holds (left model, right model, [(left world, right world)])."""
+    disagreements = 0
+    for m, n, worlds in pairs:
+        left, right = Evaluator(), Evaluator()
+        for sentence in enumerate_sentences(budget):
+            sat_m, sat_n = left.sentence_worlds(m, sentence), right.sentence_worlds(n, sentence)
+            disagreements += sum((s in sat_m) != (t in sat_n) for s, t in worlds)
+    return disagreements
+
+
 def test_bisimilar_pairs_never_separated():
-    found = 0
+    pairs = []
     seed = 0
-    while found < 12 and seed < 300:
+    while len(pairs) < 12 and seed < 300:
         m = gen_model(GenSpec(seed=seed, max_worlds=3, max_children=1, max_depth=1, prop_count=1, constant_count=1))
         seed += 1
         if not m.children:
             continue
-        found += 1
         d = dup_child(m, sorted(m.children)[0])
         assert bisimilar(_pointed(m), _pointed(d)).bisimilar
-        assert distinguish(_pointed(m), _pointed(d), EnumerationBudget(3, 2, P_C)) is None
-    assert found == 12
+        pairs.append((m, d, [(m.worlds[0], d.worlds[0])]))
+    assert len(pairs) == 12
+    assert _agree_on_stream(pairs, EnumerationBudget(3, 2, P_C)) == 0
+
+
+def _bisimilar_world_pairs(m, n):
+    return [(s, t) for s in m.worlds for t in n.worlds if bisimilar(PointedModel(m, s), PointedModel(n, t), vocab=P_C).bisimilar]
+
+
+def test_bisimilar_non_copies_agree_on_the_whole_stream():
+    # The invariance result that lets `distinguish` stop at a proof of
+    # bisimilarity, tested on pairs that are not copies of each other:
+    # independent random models at every world pair, and retrack pairs.
+    pairs = []
+    for seed in range(2500):
+        m = gen_model(GenSpec(seed=derive(seed, "left"), **TINY))
+        n = gen_model(GenSpec(seed=derive(seed, "right"), **TINY))
+        worlds = [(s, t) for s, t in _bisimilar_world_pairs(m, n) if s != t or not same_structure(m, n)]
+        if worlds:
+            pairs.append((m, n, worlds))
+    retracked = []
+    for seed in range(300):
+        got = twins_and_retrack(seed)
+        if got is not None:
+            m, r = got
+            worlds = [(s, t) for s, t in _bisimilar_world_pairs(m, r) if not same_structure(m, r)]
+            if worlds:
+                retracked.append((m, r, worlds))
+    assert sum(len(worlds) for _, _, worlds in pairs) >= 80
+    assert sum(len(worlds) for _, _, worlds in retracked) >= 40
+    assert _agree_on_stream(pairs + retracked, EnumerationBudget(3, 3, P_C)) == 0
 
 
 def _break_child_pairs():
@@ -289,3 +333,101 @@ def test_separators_do_not_depend_on_the_retained_stream(monkeypatch):
         cold.append(distinguish(pa, pb, budget))
     list(enumerate_sentences(EnumerationBudget(3, 2, P_ONLY, allow_xi=False)))
     assert [distinguish(pa, pb, budget) for pa, pb in pairs] == cold
+
+
+# --- the proof of bisimilarity before the last batch -------------------------
+
+
+def _dup_child_pair():
+    m = gen_model(GenSpec(seed=1, **TINY))
+    return _pointed(m), _pointed(dup_child(m, sorted(m.children)[0]))
+
+
+def _last_batch_separated_pair():
+    """(left, right, separator, budget): a non-bisimilar pair, its separator
+    and a budget whose last cost batch holds that separator."""
+    for pa, pb in _break_child_pairs():
+        for cost in range(2, 5):
+            budget = EnumerationBudget(cost, 4, P_C)
+            separator = distinguish(pa, pb, budget)
+            if separator is not None and distinguish(pa, pb, EnumerationBudget(cost - 1, 4, P_C)) is None:
+                return pa, pb, separator, budget
+    raise AssertionError("no pair separated only at cost 2 or more")
+
+
+def test_bisimilar_pair_skips_the_last_batch(empty_stream):
+    pm, pn = _dup_child_pair()
+    assert distinguish(pm, pn, EnumerationBudget(4, 4, P_C)) is None
+    assert len(_distinguish_module._stream.ends) == 4  # the cost-4 batch was never built
+
+
+def test_early_separator_builds_no_later_batch(empty_stream):
+    pm, pn = _dup_child_pair()
+    m = pm.model
+    flipped = GenealogicalModel(m.worlds, m.relation, {"p": frozenset(m.worlds) - m.valuation.get("p", frozenset())}, m.children, m.assignment, m.tracking)
+    assert distinguish(pm, _pointed(flipped), EnumerationBudget(4, 4, P_C)) == Prop("p")
+    assert len(_distinguish_module._stream.ends) == 1
+
+
+def test_separator_in_the_last_batch_is_still_found():
+    pa, pb, separator, _ = _last_batch_separated_pair()
+    assert not bisimilar(pa, pb, vocab=P_C).bisimilar
+    assert holds_at(pa.model, pa.world, separator, use_memo=False) != holds_at(pb.model, pb.world, separator, use_memo=False)
+
+
+def _budget_exhausted(*args, **kwargs):
+    raise BudgetExceededError("injected")
+
+
+def _unchecked_witness(*args, **kwargs):
+    return BisimVerdict(True, BisimWitness(z=frozenset(), f={}, child_witnesses={}))
+
+
+@pytest.mark.parametrize("fake", [_budget_exhausted, _unchecked_witness], ids=["budget-exceeded", "witness-fails-check"])
+def test_an_unproved_bisimilarity_falls_back_to_the_stream(monkeypatch, fake):
+    bisimilar_pm, bisimilar_pn = _dup_child_pair()
+    pa, pb, separator, budget = _last_batch_separated_pair()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fake(*args, **kwargs)
+
+    monkeypatch.setattr(_distinguish_module, "bisimilar", counted)
+    assert distinguish(bisimilar_pm, bisimilar_pn, budget) is None
+    assert distinguish(pa, pb, budget) == separator
+    assert len(calls) == 2  # once per call, before the last batch
+
+
+def test_a_real_budget_cutoff_falls_back_to_the_stream(monkeypatch, empty_stream):
+    monkeypatch.setattr(_distinguish_module, "DEFAULT_BUDGET", 0)
+    pm, pn = _dup_child_pair()
+    assert distinguish(pm, pn, EnumerationBudget(4, 4, P_C)) is None
+    assert len(_distinguish_module._stream.ends) == 5  # the whole stream was read
+
+
+@pytest.mark.parametrize("fake", [None, _budget_exhausted, _unchecked_witness], ids=["real", "budget-exceeded", "witness-fails-check"])
+def test_connective_depth_zero(monkeypatch, fake):
+    if fake is not None:
+        monkeypatch.setattr(_distinguish_module, "bisimilar", fake)
+    budget = EnumerationBudget(0, 0, P_C)
+    pm, pn = _dup_child_pair()
+    assert distinguish(pm, pn, budget) is None
+    m = pm.model
+    flipped = GenealogicalModel(m.worlds, m.relation, {"p": frozenset(m.worlds) - m.valuation.get("p", frozenset())}, m.children, m.assignment, m.tracking)
+    assert distinguish(pm, _pointed(flipped), budget) == Prop("p")
+    pa, pb, _, _ = _last_batch_separated_pair()
+    assert distinguish(pa, pb, budget) is None
+
+
+def test_distinguish_digest_is_pinned():
+    # Separators at (4,4) of 100 break_child, dup_child and retrack pairs;
+    # a change here changes what distinguish returns.
+    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "distinguish_digest.py"
+    spec = importlib.util.spec_from_file_location("distinguish_digest", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    lines = script.outcomes(100, 3)
+    assert script.digest(lines) == "8b2a1283428f34ca18f930698006d70a1b674ea6c9268b13443998b531a7ca31"
+    # The population holds a non-bisimilar pair with no separator at (4,4).
+    assert "break_child None" in lines

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from gkmc.generate import GenSpec, gen_model
 from gkmc.model import (
     DocumentFormatError,
+    GenealogicalModel,
     ModelInvalidError,
     depth,
     dump_model,
@@ -213,6 +214,15 @@ def test_generated_round_trip_and_validity():
         assert validate(m).verdict
         reloaded = load_model(dump_model(m))
         assert same_structure(reloaded, m)
+
+
+def test_dump_orders_valuation_worlds_outside_worlds_by_name():
+    # Such a model is invalid, but its dump must still not depend on
+    # frozenset iteration order: worlds in `worlds` keep their index order
+    # and the rest follow by name.
+    outside = [f"w{k:02d}" for k in range(20)]
+    m = GenealogicalModel(("s1", "s0"), frozenset(), {"p": frozenset(outside[::-1] + ["s0", "s1"])}, {}, {}, {})
+    assert json.loads(dump_model(m))["valuation"]["p"] == ["s1", "s0", *outside]
 
 
 def test_load_accepts_only_validated():
