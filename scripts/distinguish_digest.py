@@ -4,6 +4,11 @@ a seeded pair population, so two versions of the search can be compared
 byte for byte:
 
     python3 scripts/distinguish_digest.py --pairs N --seed S
+    python3 scripts/distinguish_digest.py --check
+
+`--check` exits 1 unless the digest is `PINNED`, the one the default
+population (100 pairs, seed 3) gave before `distinguish` learned to stop
+at a proof of bisimilarity; the Tier-1 suite checks the same value.
 
 The population is shaped like the `separate_stream` benchmark: tiny
 `break_child` pairs that the brute-force oracle certifies as
@@ -31,14 +36,20 @@ BUDGET = EnumerationBudget(4, 4, Vocabulary.of(props=["p"], constants=["c"]))
 # Mostly non-bisimilar pairs, as in the benchmark, each block ending in
 # one bisimilar pair of each kind.
 KINDS = ("break_child",) * 8 + ("dup_child", "retrack")
+PAIRS, SEED = 100, 3
+PINNED = "8b2a1283428f34ca18f930698006d70a1b674ea6c9268b13443998b531a7ca31"
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--pairs", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=3)
+    parser.add_argument("--pairs", type=int, default=PAIRS)
+    parser.add_argument("--seed", type=int, default=SEED)
+    parser.add_argument("--check", action="store_true", help="exit 1 unless the digest is PINNED")
     args = parser.parse_args()
-    print(digest(outcomes(args.pairs, args.seed)))
+    value = digest(outcomes(args.pairs, args.seed))
+    print(value)
+    if args.check and (args.pairs, args.seed, value) != (PAIRS, SEED, PINNED):
+        sys.exit(1)
 
 
 def digest(lines: list[str]) -> str:
@@ -70,27 +81,42 @@ def population(count: int, seed: int):
 def pair(kind: str, seed: int):
     """The pointed pair of one kind drawn from `seed`, or None when the
     draw does not give one."""
-    m = gen_model(GenSpec(seed=seed, **TINY))
-    if not m.children:
-        return None
     rng = SplitMix64(derive(seed, "pick"))
-    label = rng.choice(sorted(m.children))
-    if kind == "dup_child":
-        n = dup_child(m, label)
-    elif kind == "break_child":
-        n = break_child(m, label, "p", rng.choice(m.children[label].worlds))
+    if kind == "retrack":
+        got = twins_and_retrack(seed)
+        if got is None:
+            return None
+        m, n = got
     else:
-        child = m.children[label]
-        tracking = {w: {"a": row[label], "b": rng.choice(child.worlds)} for w, row in m.tracking.items()}
-        assignment = {w: dict.fromkeys(row, "a") for w, row in m.assignment.items()}
-        m = replace(m, children={"a": child, "b": child}, tracking=tracking, assignment=assignment)
-        n = retrack(m, rng.choice(m.worlds), "a", "b")
+        m = gen_model(GenSpec(seed=seed, **TINY))
+        if not m.children:
+            return None
+        label = rng.choice(sorted(m.children))
+        if kind == "dup_child":
+            n = dup_child(m, label)
+        else:
+            n = break_child(m, label, "p", rng.choice(m.children[label].worlds))
     world = rng.choice(m.worlds)
     pm, pn = PointedModel(m, world), PointedModel(n, world)
     if kind != "dup_child" and brute_force_bisim(pm, pn) != (kind == "retrack"):
         return None
     return pm, pn
 
+
+def twins_and_retrack(seed: int):
+    """A tiny model with its first child under two labels, `a` tracked as
+    generated and `b` at seeded random worlds, and its `retrack` at a
+    seeded world; None when the model has no child."""
+    m = gen_model(GenSpec(seed=seed, **TINY))
+    if not m.children:
+        return None
+    rng = SplitMix64(derive(seed, "retrack"))
+    first = sorted(m.children)[0]
+    child = m.children[first]
+    tracking = {w: {"a": row[first], "b": rng.choice(child.worlds)} for w, row in m.tracking.items()}
+    assignment = {w: dict.fromkeys(row, "a") for w, row in m.assignment.items()}
+    m = replace(m, children={"a": child, "b": child}, tracking=tracking, assignment=assignment)
+    return m, retrack(m, rng.choice(m.worlds), "a", "b")
 
 if __name__ == "__main__":
     main()

@@ -31,9 +31,12 @@ result, which the tests check on the stream directly), so on a bisimilar
 pair the search cannot succeed.  `distinguish` asks `bisimilar` once,
 just before the last cost batch: a bisimilar verdict whose witness
 passes `check_witness` ends the search with None, the answer the stream
-would give.  A budget cutoff or a witness that fails its check proves
-nothing, and the search reads the last batch as before.  A None is still
-"unknown", never reported as bisimilarity.
+would give.  The search may try at most `_PROOF_BUDGET` child covers,
+not `bisimilar`'s default 500,000: the proof only saves reading one
+batch, so it must not cost much more than that batch.  A budget cutoff
+or a witness that fails its check proves nothing, and the search reads
+the last batch as before.  A None is still "unknown", never reported as
+bisimilarity.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import threading
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .bisim import DEFAULT_BUDGET, BudgetExceededError, bisimilar, check_witness
+from .bisim import BudgetExceededError, bisimilar, check_witness
 from .model import PointedModel
 from .semantics import Evaluator, holds_at
 from .syntax import (
@@ -72,6 +75,12 @@ _FORMULA_VARS = ("X", "Y", "Z")
 
 _TOP = Top()
 _BOT = bot()
+
+# Child covers the proof of bisimilarity may try.  The bisimilar pairs of
+# tiny, W8/C4/D2 and W16/C6/D3 generated populations need at most 764.
+# A pair whose search tries every perfect matching of 8 children runs
+# out of `bisimilar`'s default 500,000 after about a minute.
+_PROOF_BUDGET = 1_000
 
 
 @dataclass(frozen=True)
@@ -283,10 +292,11 @@ def _first_separator(
 
 
 def _proved_bisimilar(pm: PointedModel, pn: PointedModel, vocab: Vocabulary) -> bool:
-    """Whether `bisimilar` finds the pair bisimilar over `vocab` with a
-    witness that `check_witness` accepts.  A budget cutoff proves nothing."""
+    """Whether `bisimilar` finds the pair bisimilar over `vocab` within
+    `_PROOF_BUDGET` covers, with a witness that `check_witness` accepts.
+    A budget cutoff proves nothing."""
     try:
-        verdict = bisimilar(pm, pn, vocab=vocab, budget=DEFAULT_BUDGET)
+        verdict = bisimilar(pm, pn, vocab=vocab, budget=_PROOF_BUDGET)
     except BudgetExceededError:
         return False
     return verdict.bisimilar and check_witness(pm, pn, verdict.witness, vocab=vocab).ok

@@ -1,13 +1,27 @@
+import importlib.util
 import pathlib
-from dataclasses import replace
 
 import pytest
 
-from gkmc.generate import GenSpec, SplitMix64, derive, gen_model, retrack
 from gkmc.model import load_model_file
 
-FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
-TINY = dict(max_worlds=3, max_children=2, max_depth=2, prop_count=1, constant_count=1, edge_density=0.45)
+REPO = pathlib.Path(__file__).resolve().parent.parent
+FIXTURES = REPO / "fixtures"
+
+
+def load_script(name: str):
+    """The module of `scripts/<name>.py`."""
+    spec = importlib.util.spec_from_file_location(name, REPO / "scripts" / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
+# The tiny generator shape and the twin-children `retrack` pairs that the
+# distinguish digest's population draws from.
+_digest_script = load_script("distinguish_digest")
+TINY = _digest_script.TINY
+twins_and_retrack = _digest_script.twins_and_retrack
 
 
 @pytest.fixture(scope="session")
@@ -28,18 +42,3 @@ def waitall():
 def fixture_path(name: str) -> str:
     return str(FIXTURES / name)
 
-
-def twins_and_retrack(seed):
-    """A tiny model with its first child under two labels, `a` tracked as
-    generated and `b` at seeded random worlds, and its `retrack` at a
-    seeded world; None when the model has no child."""
-    m = gen_model(GenSpec(seed=seed, **TINY))
-    if not m.children:
-        return None
-    rng = SplitMix64(derive(seed, "retrack"))
-    first = sorted(m.children)[0]
-    child = m.children[first]
-    tracking = {w: {"a": row[first], "b": rng.choice(child.worlds)} for w, row in m.tracking.items()}
-    assignment = {w: dict.fromkeys(row, "a") for w, row in m.assignment.items()}
-    m = replace(m, children={"a": child, "b": child}, tracking=tracking, assignment=assignment)
-    return m, retrack(m, rng.choice(m.worlds), "a", "b")

@@ -1,7 +1,5 @@
-import importlib.util
 import itertools
 import json
-import pathlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,9 +22,7 @@ from gkmc.model import GenealogicalModel, PointedModel, load_model, model_vocabu
 from gkmc.semantics import holds_at
 from gkmc.syntax import Vocabulary, format_formula
 
-from conftest import TINY, twins_and_retrack
-
-REPO = pathlib.Path(__file__).resolve().parent.parent
+from conftest import TINY, load_script, twins_and_retrack
 
 
 def _pointed(m, k=0):
@@ -652,7 +648,5 @@ def test_search_agrees_with_oracle_on_retrack_pairs():
 def test_bisim_digest_is_pinned():
     # Verdicts and witness documents of 200 tiny, dup_child, break_child and
     # retrack pairs; a change here changes what bisimilar returns.
-    spec = importlib.util.spec_from_file_location("bisim_digest", REPO / "scripts" / "bisim_digest.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("bisim_digest")
     assert script.digest(200, 0) == "1a5d90ecd73b1abe9f75f2486ce7a3bbca8975f5704460d46e9e3583ef03a5e4"

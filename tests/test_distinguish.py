@@ -1,8 +1,8 @@
 import gc
 import hashlib
-import importlib.util
+import importlib
 import itertools
-import pathlib
+import json
 import sys
 import threading
 import weakref
@@ -12,11 +12,11 @@ import pytest
 from gkmc.bisim import BisimVerdict, BisimWitness, BudgetExceededError, bisimilar, brute_force_bisim
 from gkmc.distinguish import EnumerationBudget, distinguish, enumerate_sentences
 from gkmc.generate import GenSpec, SplitMix64, break_child, derive, dup_child, gen_model
-from gkmc.model import GenealogicalModel, PointedModel, same_structure
+from gkmc.model import GenealogicalModel, PointedModel, load_model, same_structure
 from gkmc.semantics import Evaluator, holds_at
 from gkmc.syntax import Prop, Vocabulary, check_sentence, format_formula, parse
 
-from conftest import TINY, twins_and_retrack
+from conftest import TINY, load_script, twins_and_retrack
 
 P_ONLY = Vocabulary.of(props=["p"])
 P_C = Vocabulary.of(props=["p"], constants=["c"])
@@ -400,10 +400,45 @@ def test_an_unproved_bisimilarity_falls_back_to_the_stream(monkeypatch, fake):
 
 
 def test_a_real_budget_cutoff_falls_back_to_the_stream(monkeypatch, empty_stream):
-    monkeypatch.setattr(_distinguish_module, "DEFAULT_BUDGET", 0)
+    monkeypatch.setattr(_distinguish_module, "_PROOF_BUDGET", 0)
     pm, pn = _dup_child_pair()
     assert distinguish(pm, pn, EnumerationBudget(4, 4, P_C)) is None
     assert len(_distinguish_module._stream.ends) == 5  # the whole stream was read
+
+
+def _matching_pair(k):
+    """A non-bisimilar pair whose bisimilarity search tries every perfect
+    matching of k children: identical k-world chains, all tracked at the
+    chain's end at the roots; the left root's one successor tracks child
+    i at chain world i, the right root's two successors at j and j+1 mod k,
+    so no cover of the roots' children fits both."""
+    labels = [f"k{i}" for i in range(k)]
+    child = {"worlds": [f"c{i}" for i in range(k)], "relation": [[f"c{i}", f"c{i - 1}"] for i in range(1, k)]}
+    at = lambda shift: {label: f"c{(i + shift) % k}" for i, label in enumerate(labels)}
+    left = {"worlds": ["s", "a"], "relation": [["s", "a"]], "children": dict.fromkeys(labels, child),
+            "tracking": {"s": dict.fromkeys(labels, "c0"), "a": at(0)}}
+    right = {"worlds": ["t", "a", "b"], "relation": [["t", "a"], ["t", "b"]], "children": dict.fromkeys(labels, child),
+             "tracking": {"t": dict.fromkeys(labels, "c0"), "a": at(0), "b": at(1)}}
+    return PointedModel(load_model(json.dumps(left)), "s"), PointedModel(load_model(json.dumps(right)), "t")
+
+
+def test_a_costly_proof_gives_up_within_the_proof_budget(monkeypatch):
+    # Trying every cover would take about a minute; the proof stops after
+    # _PROOF_BUDGET of them and the stream finds the separator.
+    pm, pn = _matching_pair(6)
+    budget = EnumerationBudget(4, 4, P_ONLY)
+    with pytest.raises(BudgetExceededError):
+        bisimilar(pm, pn, vocab=P_ONLY, budget=_distinguish_module._PROOF_BUDGET)
+    budgets = []
+
+    def recorded(*args, budget, **kwargs):
+        budgets.append(budget)
+        return bisimilar(*args, budget=budget, **kwargs)
+
+    monkeypatch.setattr(_distinguish_module, "bisimilar", recorded)
+    assert distinguish(pm, pn, EnumerationBudget(3, 4, P_ONLY)) is None
+    assert format_formula(distinguish(pm, pn, budget)) == "forall x. ~[]~?[~[]F] x"
+    assert budgets == [_distinguish_module._PROOF_BUDGET] * 2
 
 
 @pytest.mark.parametrize("fake", [None, _budget_exhausted, _unchecked_witness], ids=["real", "budget-exceeded", "witness-fails-check"])
@@ -421,13 +456,11 @@ def test_connective_depth_zero(monkeypatch, fake):
 
 
 def test_distinguish_digest_is_pinned():
-    # Separators at (4,4) of 100 break_child, dup_child and retrack pairs;
-    # a change here changes what distinguish returns.
-    path = pathlib.Path(__file__).resolve().parent.parent / "scripts" / "distinguish_digest.py"
-    spec = importlib.util.spec_from_file_location("distinguish_digest", path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    lines = script.outcomes(100, 3)
-    assert script.digest(lines) == "8b2a1283428f34ca18f930698006d70a1b674ea6c9268b13443998b531a7ca31"
+    # Separators at (4,4) of 100 break_child, dup_child and retrack pairs,
+    # pinned in the script to the parent's answers; a change here changes
+    # what distinguish returns.
+    script = load_script("distinguish_digest")
+    lines = script.outcomes(script.PAIRS, script.SEED)
+    assert script.digest(lines) == script.PINNED
     # The population holds a non-bisimilar pair with no separator at (4,4).
     assert "break_child None" in lines
