@@ -4,11 +4,10 @@ a seeded pair population, so two versions of the search can be compared
 byte for byte:
 
     python3 scripts/distinguish_digest.py --pairs N --seed S
-    python3 scripts/distinguish_digest.py --check
 
-`--check` exits 1 unless the digest is `PINNED`, the one the default
-population (100 pairs, seed 3) gave before `distinguish` learned to stop
-at a proof of bisimilarity; the Tier-1 suite checks the same value.
+The default population (`PAIRS` pairs at `SEED`) gives `PINNED`, the
+digest from before `distinguish` learned to stop at a proof of
+bisimilarity; the Tier-1 suite checks it.
 
 The population is shaped like the `separate_stream` benchmark: tiny
 `break_child` pairs that the brute-force oracle certifies as
@@ -44,12 +43,8 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pairs", type=int, default=PAIRS)
     parser.add_argument("--seed", type=int, default=SEED)
-    parser.add_argument("--check", action="store_true", help="exit 1 unless the digest is PINNED")
     args = parser.parse_args()
-    value = digest(outcomes(args.pairs, args.seed))
-    print(value)
-    if args.check and (args.pairs, args.seed, value) != (PAIRS, SEED, PINNED):
-        sys.exit(1)
+    print(digest(outcomes(args.pairs, args.seed)))
 
 
 def digest(lines: list[str]) -> str:

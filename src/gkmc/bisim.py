@@ -16,11 +16,12 @@ ok when it passes the atom and constant clauses and G(u,v) is surjective.
 Then (s,t) is bisimilar iff, for some minimal surjective H ⊆ G(s,t),
 (s,t) lies in the fixpoint of H: the greatest zig/zag-closed set of
 locally ok pairs q with H ⊆ G(q).  If: that set with f ≡ H is a
-bisimulation, a constant f being monotone.  Only if: given (Z, f), answer
-every zig/zag step from (s,t) with a monotone response in Z.  f only
-grows along the way, so each pair q reached has f(s,t) ⊆ f(q) ⊆ G(q),
-and the reached pairs lie in the fixpoint of H = f(s,t), hence in that
-of every minimal surjective H ⊆ f(s,t): fixpoints grow as H shrinks.
+bisimulation, a constant f being monotone; it is the witness returned.
+Only if: given (Z, f), answer every zig/zag step from (s,t) with a
+monotone response in Z.  f only grows along the way, so each pair q
+reached has f(s,t) ⊆ f(q) ⊆ G(q), and the reached pairs lie in the
+fixpoint of H = f(s,t), hence in that of every minimal surjective
+H ⊆ f(s,t): fixpoints grow as H shrinks.
 
 Candidate sets are zig/zag-closed and agree on atoms, so lie in P, plain
 bisimilarity (atoms, zig/zag).  Each `bisimilar` call computes P once by
@@ -102,7 +103,8 @@ class _Budget:
 
 class _PairLevel:
     """Decision data for one (left model, right model) pair: G per world
-    pair, the candidate pairs, and the fixpoint of each H tried."""
+    pair, the candidate pairs, the fixpoint of each H tried and the
+    witness of each H found."""
 
     def __init__(self, ctx, m, n):
         self.ctx = ctx
@@ -121,6 +123,7 @@ class _PairLevel:
         # bisimulation's Z lies inside it, whatever its f.
         self.candidates = self._refine({(u, v) for u in m.worlds for v in bucket.get(cls_m[u], ()) if self._local_ok(u, v)})
         self.fixpoints: dict[frozenset, frozenset] = {}
+        self.witnesses: dict[frozenset, BisimWitness] = {}
 
     def _local_ok(self, u, v) -> bool:
         """G(u,v) is surjective and holds the constants' pairs."""
@@ -229,7 +232,6 @@ class _Ctx:
         # Keyed by the model objects, which hash by identity.
         self.levels: dict[tuple[GenealogicalModel, GenealogicalModel], _PairLevel] = {}
         self.covers: dict[tuple[GenealogicalModel, GenealogicalModel, str, str], Optional[frozenset]] = {}
-        self.witnesses: dict[tuple[GenealogicalModel, GenealogicalModel, str, str], BisimWitness] = {}
         # Per model of the first decided pair's trees: its successor table
         # and each world's plain-bisimilarity class, ids shared by all.
         self.succ: dict[GenealogicalModel, dict[str, tuple[str, ...]]] = {}
@@ -281,30 +283,20 @@ class _Ctx:
         return None
 
     def witness(self, m, n, s, t) -> BisimWitness:
-        """The witness of a pair `decide` found bisimilar, with H its cover:
-        Z holds the pairs reached from (s, t) by answering every zig/zag
-        step with its first successor pair in H's fixpoint, and f ≡ H."""
-        key = (m, n, s, t)
-        got = self.witnesses.get(key)
-        if got is not None:
-            return got
-        level, h = self.levels[m, n], self.covers[key]
-        inside = level.fixpoint(h)
-        z, todo = {(s, t)}, [(s, t)]
-        while todo:
-            u, v = todo.pop()
-            responses = [next((u2, v2) for v2 in level.succ_n[v] if (u2, v2) in inside) for u2 in level.succ_m[u]]
-            responses += [next((u2, v2) for u2 in level.succ_m[u] if (u2, v2) in inside) for v2 in level.succ_n[v]]
-            for pair in responses:
-                if pair not in z:
-                    z.add(pair)
-                    todo.append(pair)
-        child_witnesses = {}
-        for (u, v) in z:
-            for a, b in h | _constant_pairs(m, n, u, v, self.vocab):
-                wa, wb = m.tracking[u][a], n.tracking[v][b]
-                child_witnesses[a, b, wa, wb] = self.witness(m.children[a], n.children[b], wa, wb)
-        got = self.witnesses[key] = BisimWitness(z=frozenset(z), f=dict.fromkeys(z, h), child_witnesses=child_witnesses)
+        """The witness of a pair `decide` found bisimilar, shared by every
+        pair of (m, n) with the same cover H: Z is H's fixpoint and f ≡ H.
+        Each q in Z is a candidate with H ⊆ G(q) holding its constants'
+        pairs, so every child pair below has a cover and a witness."""
+        level, h = self.levels[m, n], self.covers[m, n, s, t]
+        got = level.witnesses.get(h)
+        if got is None:
+            z = level.fixpoint(h)
+            child_witnesses = {}
+            for (u, v) in z:
+                for a, b in h | _constant_pairs(m, n, u, v, self.vocab):
+                    wa, wb = m.tracking[u][a], n.tracking[v][b]
+                    child_witnesses[a, b, wa, wb] = self.witness(m.children[a], n.children[b], wa, wb)
+            got = level.witnesses[h] = BisimWitness(z=z, f=dict.fromkeys(z, h), child_witnesses=child_witnesses)
         return got
 
 
