@@ -31,24 +31,25 @@ def main():
     args = parser.parse_args()
 
     started = time.perf_counter()
-    agree, disagree, positives = cross_check(random_pair(args.seed + k, k % 2 == 1) for k in range(args.pairs))
+    agree, disagree, positives, failed = cross_check(random_pair(args.seed + k, k % 2 == 1) for k in range(args.pairs))
     elapsed = time.perf_counter() - started
     per_pair_ms = 1000 * elapsed / args.pairs if args.pairs else 0.0
     print(
-        f"{agree}/{args.pairs} agree ({positives} bisimilar, witnesses verified and round-tripped)"
+        f"{agree}/{args.pairs} agree ({positives} bisimilar, {positives - failed} witnesses verified and round-tripped)"
         f" in {elapsed:.1f}s ({per_pair_ms:.2f} ms per pair)"
     )
     retracked = (retrack_pair(args.seed + k) for k in range(args.pairs))
-    r_agree, r_disagree, r_positives = cross_check(pair for pair in retracked if pair is not None)
-    print(f"retrack: {r_agree}/{r_agree + r_disagree} agree ({r_positives} bisimilar)")
-    if disagree or r_disagree:
+    r_agree, r_disagree, r_positives, r_failed = cross_check(pair for pair in retracked if pair is not None)
+    print(f"retrack: {r_agree}/{r_agree + r_disagree} agree ({r_positives} bisimilar, {r_positives - r_failed} witnesses verified)")
+    if disagree or r_disagree or failed or r_failed:
         sys.exit(1)
 
 
 def cross_check(pairs):
     """Compare the search with the oracle on `(pm, pn, seed)` triples and
-    round-trip every witness; return (agree, disagree, positives)."""
-    agree = disagree = positives = 0
+    round-trip every witness; return (agree, disagree, positives, failed),
+    `failed` counting the witnesses `witness_fault` finds at fault."""
+    agree = disagree = positives = failed = 0
     for pm, pn, seed in pairs:
         verdict = bisimilar(pm, pn)
         if verdict.bisimilar == brute_force_bisim(pm, pn):
@@ -58,12 +59,25 @@ def cross_check(pairs):
             print(f"  DISAGREEMENT at seed {seed}")
         if verdict.bisimilar:
             positives += 1
-            assert check_witness(pm, pn, verdict.witness).ok
-            text = json.dumps(witness_to_document(verdict.witness))
-            restored = witness_from_document(json.loads(text))
-            assert check_witness(pm, pn, restored).ok
-            assert json.dumps(witness_to_document(restored)) == text
-    return agree, disagree, positives
+            fault = witness_fault(pm, pn, verdict.witness)
+            if fault:
+                failed += 1
+                print(f"  WITNESS FAULT at seed {seed}: {fault}")
+    return agree, disagree, positives, failed
+
+
+def witness_fault(pm, pn, witness):
+    """What goes wrong with `witness` in the checker or through its JSON
+    document and back, or None when nothing does."""
+    if not check_witness(pm, pn, witness).ok:
+        return "check_witness rejects it"
+    text = json.dumps(witness_to_document(witness))
+    restored = witness_from_document(json.loads(text))
+    if not check_witness(pm, pn, restored).ok:
+        return "check_witness rejects it after the round trip"
+    if json.dumps(witness_to_document(restored)) != text:
+        return "the round trip changes its bytes"
+    return None
 
 
 def random_pair(seed, mutate):

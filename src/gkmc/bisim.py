@@ -8,6 +8,8 @@ every f-related child pair is itself bisimilar at its tracked worlds;
 constants are either undefined on both sides or point to bisimilar
 children at tracked worlds; and the usual zig/zag transfer holds with f
 monotone along it, f((u,v)) being a subset of the successor pair's value.
+A constant f ≡ H is always enough, as shown below, so a witness stores
+the pair (Z, H).
 
 The decision procedure works bottom-up by generation: child pointed
 bisimilarity is decided first (memoized), giving for every world pair the
@@ -63,11 +65,12 @@ class OracleSizeError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class BisimWitness:
-    """Z, f and one child witness per child pair at tracked worlds.  It
-    hashes by identity, so a witness DAG indexes its shared nodes."""
+    """The bisimulation (Z, f ≡ H): the world pairs Z, the child pairs H
+    and one child witness per child pair at tracked worlds.  It hashes by
+    identity, so a witness DAG indexes its shared nodes."""
 
     z: frozenset[tuple[str, str]]
-    f: Mapping[tuple[str, str], frozenset[tuple[str, str]]]
+    h: frozenset[tuple[str, str]]
     # (left label, right label, left world, right world) -> child witness
     child_witnesses: Mapping[tuple[str, str, str, str], "BisimWitness"]
 
@@ -284,7 +287,7 @@ class _Ctx:
 
     def witness(self, m, n, s, t) -> BisimWitness:
         """The witness of a pair `decide` found bisimilar, shared by every
-        pair of (m, n) with the same cover H: Z is H's fixpoint and f ≡ H.
+        pair of (m, n) with the same cover H: Z is H's fixpoint.
         Each q in Z is a candidate with H ⊆ G(q) holding its constants'
         pairs, so every child pair below has a cover and a witness."""
         level, h = self.levels[m, n], self.covers[m, n, s, t]
@@ -296,7 +299,7 @@ class _Ctx:
                 for a, b in h | _constant_pairs(m, n, u, v, self.vocab):
                     wa, wb = m.tracking[u][a], n.tracking[v][b]
                     child_witnesses[a, b, wa, wb] = self.witness(m.children[a], n.children[b], wa, wb)
-            got = level.witnesses[h] = BisimWitness(z=z, f=dict.fromkeys(z, h), child_witnesses=child_witnesses)
+            got = level.witnesses[h] = BisimWitness(z=z, h=h, child_witnesses=child_witnesses)
         return got
 
 
@@ -329,32 +332,46 @@ def check_witness(
     witness: BisimWitness,
     vocab: Optional[Vocabulary] = None,
 ) -> WitnessReport:
-    """Mechanically verify every bisimulation clause of a candidate witness,
-    recursing into its child witnesses.  A child witness shared by several
-    pairs is checked once per call, so its failures are reported once."""
+    """Mechanically verify every clause of the bisimulation (Z, f ≡ H) of
+    a candidate witness, recursing into its child witnesses.  A witness
+    object is checked once per call and pair of models it serves, so its
+    failures are reported once; each reference to it checks only that its
+    pointed pair lies in its Z."""
     if vocab is None:
         vocab = model_vocabulary(pm.model, pn.model)
     failures: list[tuple[str, str]] = []
-    _check_into(pm.model, pn.model, pm.world, pn.world, witness, vocab, "", failures, set())
+    if witness is None:
+        failures.append(("pointed-pair", "missing witness"))
+    else:
+        _check_reference(pm.model, pn.model, pm.world, pn.world, witness, vocab, "", failures, set())
     return WitnessReport(not failures, tuple(failures))
 
 
-def _check_into(m, n, s, t, w, vocab, where, failures, done):
+def _check_reference(m, n, s, t, w, vocab, where, failures, done):
+    if (s, t) not in w.z:
+        failures.append(("pointed-pair", f"{where}({s}, {t}) not in Z"))
+    if (m, n, w) not in done:
+        done.add((m, n, w))
+        _check_into(m, n, w, vocab, where, failures, done)
+
+
+def _check_into(m, n, w, vocab, where, failures, done):
     def fail(tag, message):
         failures.append((tag, f"{where}{message}"))
-
-    if w is None:
-        fail("pointed-pair", "missing witness")
-        return
-    if (s, t) not in w.z:
-        fail("pointed-pair", f"({s}, {t}) not in Z")
-    if set(w.f) != set(w.z):
-        fail("f-domain", "f must be defined exactly on Z")
 
     succ_m, succ_n = _successors(m), _successors(n)
     labels_m, labels_n = set(m.children), set(n.children)
     worlds_m, worlds_n = set(m.worlds), set(n.worlds)
 
+    known = w.h & set(itertools.product(labels_m, labels_n))
+    for a, b in sorted(w.h - known):
+        fail("children", f"H mentions unknown child pair ({a}, {b})")
+    if {a for a, _ in known} != labels_m:
+        fail("surjective-left", "H misses a left child")
+    if {b for _, b in known} != labels_n:
+        fail("surjective-right", "H misses a right child")
+    # (a, b, wa, wb) -> the clause its child witness serves, first one met
+    used: dict[tuple[str, str, str, str], str] = {}
     for (u, v) in sorted(w.z):
         if u not in worlds_m or v not in worlds_n:
             fail("pointed-pair", f"({u}, {v}) is not a world pair")
@@ -362,48 +379,27 @@ def _check_into(m, n, s, t, w, vocab, where, failures, done):
         for p in sorted(vocab.props):
             if (u in m.valuation.get(p, frozenset())) != (v in n.valuation.get(p, frozenset())):
                 fail("atoms", f"({u}, {v}) disagree on {p!r}")
-        pairs = w.f.get((u, v), frozenset())
-        if {a for a, _ in pairs} != labels_m:
-            fail("surjective-left", f"f(({u}, {v})) misses a left child")
-        if {b for _, b in pairs} != labels_n:
-            fail("surjective-right", f"f(({u}, {v})) misses a right child")
-        for a, b in sorted(pairs):
-            if a not in labels_m or b not in labels_n:
-                fail("children", f"f(({u}, {v})) mentions unknown child pair ({a}, {b})")
-                continue
-            wa, wb = m.tracking[u][a], n.tracking[v][b]
-            _check_child(m, n, a, b, wa, wb, w, vocab, where, failures, done, "children")
+        for a, b in known:
+            used.setdefault((a, b, m.tracking[u][a], n.tracking[v][b]), "children")
         for c in sorted(vocab.constants):
             ca = m.assignment.get(u, {}).get(c)
             cb = n.assignment.get(v, {}).get(c)
             if (ca is None) != (cb is None):
                 fail("constants", f"constant {c!r} defined on one side only at ({u}, {v})")
             elif ca is not None:
-                wa, wb = m.tracking[u][ca], n.tracking[v][cb]
-                _check_child(m, n, ca, cb, wa, wb, w, vocab, where, failures, done, "constants")
+                used.setdefault((ca, cb, m.tracking[u][ca], n.tracking[v][cb]), "constants")
         for u2 in succ_m[u]:
-            if not any(
-                (u2, v2) in w.z and pairs <= w.f.get((u2, v2), frozenset())
-                for v2 in succ_n[v]
-            ):
-                fail("zig", f"no monotone response in Z for {u} -> {u2} from ({u}, {v})")
+            if not any((u2, v2) in w.z for v2 in succ_n[v]):
+                fail("zig", f"no response in Z for {u} -> {u2} from ({u}, {v})")
         for v2 in succ_n[v]:
-            if not any(
-                (u2, v2) in w.z and pairs <= w.f.get((u2, v2), frozenset())
-                for u2 in succ_m[u]
-            ):
-                fail("zag", f"no monotone response in Z for {v} -> {v2} from ({u}, {v})")
-
-
-def _check_child(m, n, a, b, wa, wb, w, vocab, where, failures, done, tag):
-    child = w.child_witnesses.get((a, b, wa, wb))
-    if child is None:
-        failures.append((tag, f"{where}missing child witness for ({a}, {b}) at ({wa}, {wb})"))
-        return
-    key = (m.children[a], n.children[b], wa, wb, child)
-    if key not in done:
-        done.add(key)
-        _check_into(m.children[a], n.children[b], wa, wb, child, vocab, f"{where}{a}|{b}|{wa}|{wb}: ", failures, done)
+            if not any((u2, v2) in w.z for u2 in succ_m[u]):
+                fail("zag", f"no response in Z for {v} -> {v2} from ({u}, {v})")
+    for (a, b, wa, wb), tag in sorted(used.items()):
+        child = w.child_witnesses.get((a, b, wa, wb))
+        if child is None:
+            fail(tag, f"missing child witness for ({a}, {b}) at ({wa}, {wb})")
+        else:
+            _check_reference(m.children[a], n.children[b], wa, wb, child, vocab, f"{where}{a}|{b}|{wa}|{wb}: ", failures, done)
 
 
 # --------------------------------------------------------------------------
@@ -413,10 +409,10 @@ def _check_child(m, n, a, b, wa, wb, w, vocab, where, failures, done, tag):
 def witness_to_document(w: BisimWitness) -> dict:
     """The witness DAG as one table `{"witnesses": [entry, ...]}`: each
     distinct witness object once, children before parents, the root last.
-    An entry is `{"z": [[u, v], ...], "f": [{"pair": [u, v], "children":
-    [[a, b], ...]}, ...], "children": [[a, b, wa, wb, i], ...]}`, `i` being
-    an earlier entry's index.  Entries are numbered in post-order over
-    sorted child keys and every list is sorted, so output is bit-stable."""
+    An entry is `{"z": [[u, v], ...], "h": [[a, b], ...], "children":
+    [[a, b, wa, wb, i], ...]}`, `i` being an earlier entry's index.
+    Entries are numbered in post-order over sorted child keys and every
+    list is sorted, so output is bit-stable."""
     index: dict[BisimWitness, int] = {}
     stack = [(w, iter(sorted(w.child_witnesses.items())))]
     while stack:
@@ -432,7 +428,7 @@ def witness_to_document(w: BisimWitness) -> dict:
     return {"witnesses": [
         {
             "z": [list(pair) for pair in sorted(node.z)],
-            "f": [{"pair": list(pair), "children": [list(c) for c in sorted(node.f[pair])]} for pair in sorted(node.f)],
+            "h": [list(pair) for pair in sorted(node.h)],
             "children": [[*key, index[c]] for key, c in sorted(node.child_witnesses.items())],
         }
         for node in index
@@ -442,17 +438,20 @@ def witness_to_document(w: BisimWitness) -> dict:
 def witness_from_document(doc: dict) -> BisimWitness:
     """Read `witness_to_document`'s table in one forward pass and return
     its last entry.  Each entry becomes one object, so shared sub-witnesses
-    come back shared.  A child index that is not an earlier entry, or an
-    empty table, raises `ValueError`, so no cycle can be written down."""
+    come back shared.  An entry whose keys are not exactly z, h and
+    children, a child index that is not an earlier entry, or an empty
+    table raises `ValueError`, so no cycle can be written down."""
     built: list[BisimWitness] = []
     for entry in doc.get("witnesses", []):
+        if not isinstance(entry, dict) or entry.keys() != {"z", "h", "children"}:
+            raise ValueError("a witness entry must have exactly the keys z, h and children")
         children = {}
-        for a, b, wa, wb, i in entry.get("children", []):
+        for a, b, wa, wb, i in entry["children"]:
             if not isinstance(i, int) or not 0 <= i < len(built):
                 raise ValueError(f"child witness index {i!r} is not an earlier entry")
             children[a, b, wa, wb] = built[i]
-        f = {(e["pair"][0], e["pair"][1]): frozenset((a, b) for a, b in e["children"]) for e in entry.get("f", [])}
-        built.append(BisimWitness(frozenset((u, v) for u, v in entry.get("z", [])), f, children))
+        z, h = frozenset((u, v) for u, v in entry["z"]), frozenset((a, b) for a, b in entry["h"])
+        built.append(BisimWitness(z, h, children))
     if not built:
         raise ValueError("empty witness table")
     return built[-1]

@@ -15,6 +15,7 @@ from gkmc.bisim import (
     witness_from_document,
     witness_to_document,
 )
+from gkmc import bisim as bisim_module
 from gkmc.bisim import _Budget, _Ctx, _minimal_covers, _successors, _surjective
 from gkmc.distinguish import EnumerationBudget, distinguish
 from gkmc.generate import GenSpec, break_child, dup_child, gen_model
@@ -196,52 +197,130 @@ def test_budget_must_be_a_non_negative_int(budget):
 # --- witness checking ----------------------------------------------------
 
 
-def test_check_witness_rejects_monotonicity_violation(de_dicto):
+def test_check_witness_rejects_a_child_pair_grown_into_h(de_dicto):
     pm = _pointed(de_dicto)
-    verdict = bisimilar(pm, pm)
-    w = verdict.witness
-    # grow f on a non-reflexive pair the zig clause must route through
-    f = dict(w.f)
-    (u, v) = ("s0", "s0")
-    assert (u, v) in f
-    f[(u, v)] = frozenset({("n1", "n1"), ("n2", "n2"), ("n1", "n2")})
-    mutated = BisimWitness(z=w.z, f=f, child_witnesses=w.child_witnesses)
-    report = check_witness(pm, pm, mutated)
+    w = bisimilar(pm, pm).witness
+    # (n1, n2) is not bisimilar at the worlds it tracks, so no child witness can back it
+    grown = BisimWitness(z=w.z, h=w.h | {("n1", "n2")}, child_witnesses=w.child_witnesses)
+    report = check_witness(pm, pm, grown)
     assert not report.ok
-    tags = {tag for tag, _ in report.failures}
-    assert tags & {"zig", "zag", "children"}
+    assert {tag for tag, _ in report.failures} == {"children"}
 
 
 def test_check_witness_rejects_missing_pointed_pair(de_dicto):
     pm = _pointed(de_dicto)
-    verdict = bisimilar(pm, pm)
-    w = verdict.witness
+    w = bisimilar(pm, pm).witness
     smaller_z = frozenset(p for p in w.z if p != ("s0", "s0"))
-    f = {p: w.f[p] for p in smaller_z}
-    mutated = BisimWitness(z=smaller_z, f=f, child_witnesses=w.child_witnesses)
+    mutated = BisimWitness(z=smaller_z, h=w.h, child_witnesses=w.child_witnesses)
     report = check_witness(pm, pm, mutated)
     assert not report.ok
-    assert "pointed-pair" in {tag for tag, _ in report.failures}
+    assert {tag for tag, _ in report.failures} == {"pointed-pair"}
 
 
-def test_check_witness_requires_f_on_exactly_z(de_dicto):
+def _leaf_witness(*pairs):
+    return BisimWitness(z=frozenset(pairs), h=frozenset(), child_witnesses={})
+
+
+def _replace_children(w, label, child):
+    """`w` with every child witness under left label `label` replaced by `child`."""
+    children = {key: child if key[0] == label else c for key, c in w.child_witnesses.items()}
+    return BisimWitness(z=w.z, h=w.h, child_witnesses=children)
+
+
+_TWINS = json.dumps({
+    "worlds": ["w"],
+    "children": {"a": {"worlds": ["u"]}, "b": {"worlds": ["u"]}},
+    "tracking": {"w": {"a": "u", "b": "u"}},
+})
+
+
+def _twins_case(*h):
+    """Twin one-world children against themselves, with the given H and a
+    leaf witness for each of its pairs."""
+    pm = _pointed(load_model(_TWINS))
+    leaf = _leaf_witness(("u", "u"))
+    return pm, pm, BisimWitness(z=frozenset({("w", "w")}), h=frozenset(h), child_witnesses={(a, b, "u", "u"): leaf for a, b in h})
+
+
+def _one_step_case(left, right):
+    """Two-world models with no children, related at x and y."""
+    pm, pn = _pointed(load_model(left)), _pointed(load_model(right))
+    return pm, pn, _leaf_witness(("x", "x"), ("y", "y"))
+
+
+_STEP = '{"worlds": ["x", "y"], "relation": [["x", "y"]]}'
+_STILL = '{"worlds": ["x", "y"]}'
+
+
+def _de_dicto_case(de_dicto, mutate, right=None):
+    pm = _pointed(de_dicto)
+    pn = pm if right is None else _pointed(right)
+    return pm, pn, mutate(bisimilar(pm, pm).witness)
+
+
+def _without_constant_at_s1(m):
+    assignment = {**m.assignment, "s1": {}}
+    return GenealogicalModel(m.worlds, m.relation, m.valuation, m.children, assignment, m.tracking)
+
+
+_CLAUSE_CASES = {
+    # n1's witness is referenced at (running, running) and (stopped, stopped).
+    "pointed-pair": ("pointed-pair", lambda dd: _de_dicto_case(
+        dd, lambda w: _replace_children(w, "n1", _leaf_witness(("dead", "dead"))))),
+    "atoms": ("atoms", lambda dd: _one_step_case('{"worlds": ["x", "y"], "valuation": {"p": ["x"]}}', _STILL)),
+    "surjective-left": ("surjective-left", lambda dd: _twins_case(("a", "a"), ("a", "b"))),
+    "surjective-right": ("surjective-right", lambda dd: _twins_case(("a", "a"), ("b", "a"))),
+    "children-missing": ("children", lambda dd: _de_dicto_case(dd, lambda w: BisimWitness(
+        z=w.z, h=w.h, child_witnesses={k: c for k, c in w.child_witnesses.items() if k != ("n2", "n2", "dead", "dead")}))),
+    "children-unknown": ("children", lambda dd: _de_dicto_case(
+        dd, lambda w: BisimWitness(z=w.z, h=w.h | {("n1", "n3")}, child_witnesses=w.child_witnesses))),
+    "constants": ("constants", lambda dd: _de_dicto_case(dd, lambda w: w, right=_without_constant_at_s1(dd))),
+    "zig": ("zig", lambda dd: _one_step_case(_STEP, _STILL)),
+    "zag": ("zag", lambda dd: _one_step_case(_STILL, _STEP)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_CLAUSE_CASES))
+def test_check_witness_names_each_failing_clause(de_dicto, case):
+    tag, build = _CLAUSE_CASES[case]
+    pm, pn, witness = build(de_dicto)
+    report = check_witness(pm, pn, witness)
+    assert not report.ok
+    assert {got for got, _ in report.failures} == {tag}
+
+
+def test_check_witness_reports_a_missing_witness(de_dicto):
+    pm = _pointed(de_dicto)
+    assert check_witness(pm, pm, None).failures == (("pointed-pair", "missing witness"),)
+
+
+def test_a_shared_child_witness_is_checked_once_per_call(de_dicto):
     pm = _pointed(de_dicto)
     w = bisimilar(pm, pm).witness
-    f = dict(w.f)
-    f[("s0", "s2")] = frozenset()
-    mutated = BisimWitness(z=w.z, f=f, child_witnesses=w.child_witnesses)
-    assert "f-domain" in {tag for tag, _ in check_witness(pm, pm, mutated).failures}
+    shared = {c for key, c in w.child_witnesses.items() if key[0] == "n2"}
+    assert len(shared) == 1 < sum(key[0] == "n2" for key in w.child_witnesses)
+    (child,) = shared
+    # (stopped, running) disagrees on r; every n2 reference shares the object.
+    bad = BisimWitness(z=child.z | {("stopped", "running")}, h=child.h, child_witnesses=child.child_witnesses)
+    report = check_witness(pm, pm, _replace_children(w, "n2", bad))
+    assert [tag for tag, _ in report.failures] == ["atoms"]
+
+
+@pytest.mark.parametrize("shape, entries", [((0, 8, 4, 2), 11), ((0, 16, 6, 3), 25)])
+def test_check_witness_checks_each_witness_object_once(monkeypatch, shape, entries):
+    pm, pd, w = _dup_child_witness(*shape)
+    assert len(witness_to_document(w)["witnesses"]) == entries
+    calls = []
+    check_into = bisim_module._check_into
+    monkeypatch.setattr(bisim_module, "_check_into", lambda *args: calls.append(args) or check_into(*args))
+    assert check_witness(pm, pd, w).ok
+    assert len(calls) == entries
 
 
 def test_identity_witness_on_structural_copy(deadlock):
     text = '{"worlds": ["w0"], "valuation": {"a": ["w0"]}}'
     m, n = load_model(text), load_model(text)
-    identity = BisimWitness(
-        z=frozenset({("w0", "w0")}),
-        f={("w0", "w0"): frozenset()},
-        child_witnesses={},
-    )
-    assert check_witness(_pointed(m), _pointed(n), identity).ok
+    assert check_witness(_pointed(m), _pointed(n), _leaf_witness(("w0", "w0"))).ok
 
 
 # --- serialization -------------------------------------------------------
@@ -311,7 +390,7 @@ def test_witness_table_reads_back_shared_objects():
     assert check_witness(pm, pd, restored).ok
 
 
-_LEAF = {"z": [["u", "u"]], "f": [{"pair": ["u", "u"], "children": []}], "children": []}
+_LEAF = {"z": [["u", "u"]], "h": [], "children": []}
 
 
 def _with_child(index):
@@ -325,9 +404,11 @@ def _with_child(index):
         {"witnesses": [_LEAF, _with_child(1)]},
         {"witnesses": [_LEAF, _with_child(-1)]},
         {"witnesses": []},
-        {"z": _LEAF["z"], "f": _LEAF["f"], "children": {}},
+        {"z": _LEAF["z"], "h": _LEAF["h"], "children": {}},
+        {"witnesses": [{"z": _LEAF["z"], "f": [{"pair": ["u", "u"], "children": []}], "children": []}]},
+        {"witnesses": [{**_LEAF, "note": ""}]},
     ],
-    ids=["forward", "self", "negative", "empty", "nested"],
+    ids=["forward", "self", "negative", "empty", "nested", "per-pair-f", "extra-key"],
 )
 def test_witness_table_rejects_bad_indices_and_other_formats(doc):
     with pytest.raises(ValueError):
@@ -335,7 +416,7 @@ def test_witness_table_rejects_bad_indices_and_other_formats(doc):
 
 
 def test_witness_document_refuses_a_cyclic_witness():
-    w = BisimWitness(z=frozenset({("u", "u")}), f={("u", "u"): frozenset()}, child_witnesses={})
+    w = _leaf_witness(("u", "u"))
     w.child_witnesses["a", "a", "u", "u"] = w
     with pytest.raises(ValueError):
         witness_to_document(w)
@@ -343,7 +424,7 @@ def test_witness_document_refuses_a_cyclic_witness():
 
 def test_wide_dup_child_witness_document_stays_small():
     _, _, w = _dup_child_witness(0, 16, 6, 3)
-    assert len(json.dumps(witness_to_document(w), indent=2, sort_keys=True)) < 200_000
+    assert len(json.dumps(witness_to_document(w), indent=2, sort_keys=True)) < 50_000
 
 
 def test_witness_is_one_fixpoint_per_level_and_cover():
@@ -361,7 +442,7 @@ def test_witness_is_one_fixpoint_per_level_and_cover():
                 continue
             got = ctx.witness(a, b, s, t)
             assert got.z == ctx.levels[a, b].fixpoint(h)
-            assert all(value == h for value in got.f.values())
+            assert got.h == h
             assert witnesses.setdefault((a, b, h), got) is got
             pointed += 1
         distinct += len(witnesses)

@@ -380,7 +380,7 @@ def _budget_exhausted(*args, **kwargs):
 
 
 def _unchecked_witness(*args, **kwargs):
-    return BisimVerdict(True, BisimWitness(z=frozenset(), f={}, child_witnesses={}))
+    return BisimVerdict(True, BisimWitness(z=frozenset(), h=frozenset(), child_witnesses={}))
 
 
 @pytest.mark.parametrize("fake", [_budget_exhausted, _unchecked_witness], ids=["budget-exceeded", "witness-fails-check"])
