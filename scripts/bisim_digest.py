@@ -7,9 +7,10 @@ of the decider can be compared byte for byte:
 
 The default population (`PAIRS` pairs at `SEED`) gives `PINNED_VERDICTS`
 and `PINNED_WITNESSES`; the Tier-1 suite checks both.  The verdict digest
-is the one the decider gave before a witness became its cover's fixpoint
-and before a witness entry stored its cover `H` once in place of a
-per-pair `f`; both changes moved the witness bytes only.
+is the one the decider gave before a witness became its cover's fixpoint,
+before a witness entry stored its cover `H` once in place of a per-pair
+`f` and before the cover search grew `H` one label at a time, in place of
+listing minimal covers; these changes moved the witness bytes only.
 
 Pairs cycle through four kinds: two independent tiny models, a W8 model
 and its `dup_child`, a W8 model and its `break_child`, and a tiny model
@@ -36,7 +37,7 @@ W8 = dict(max_worlds=8, max_children=4, max_depth=2, edge_density=0.4)
 KINDS = ("tiny", "dup_child", "break_child", "retrack")
 PAIRS, SEED = 200, 0
 PINNED_VERDICTS = "e82d8ec1863c8593e46062ebed21c7a97f27235266e8237178f3c4a9e9212440"
-PINNED_WITNESSES = "266de735297f3106cb7c346a00a56733800961a44e74bd07586b0a649e7de0b8"
+PINNED_WITNESSES = "d431b9985e652db174db66fbccbfe2b93c16981a52daa7d98df42abc7e829492"
 
 
 def main():

@@ -15,15 +15,13 @@ The decision procedure works bottom-up by generation: child pointed
 bisimilarity is decided first (memoized), giving for every world pair the
 set G(u,v) of child pairs bisimilar at tracked worlds.  Call (u,v) locally
 ok when it passes the atom and constant clauses and G(u,v) is surjective.
-Then (s,t) is bisimilar iff, for some minimal surjective H ⊆ G(s,t),
-(s,t) lies in the fixpoint of H: the greatest zig/zag-closed set of
-locally ok pairs q with H ⊆ G(q).  If: that set with f ≡ H is a
-bisimulation, a constant f being monotone; it is the witness returned.
-Only if: given (Z, f), answer every zig/zag step from (s,t) with a
-monotone response in Z.  f only grows along the way, so each pair q
-reached has f(s,t) ⊆ f(q) ⊆ G(q), and the reached pairs lie in the
-fixpoint of H = f(s,t), hence in that of every minimal surjective
-H ⊆ f(s,t): fixpoints grow as H shrinks.
+Then (s,t) is bisimilar iff, for some surjective H ⊆ G(s,t), (s,t) lies
+in the fixpoint of H: the greatest zig/zag-closed set of locally ok pairs
+q with H ⊆ G(q).  If: that set with f ≡ H is a bisimulation, a constant
+f being monotone; it is the witness returned.  Only if: given (Z, f),
+answer every zig/zag step from (s,t) with a monotone response in Z.  f
+only grows along the way, so each pair q reached has f(s,t) ⊆ f(q) ⊆
+G(q), and the reached pairs lie in the fixpoint of H = f(s,t).
 
 Candidate sets are zig/zag-closed and agree on atoms, so lie in P, plain
 bisimilarity (atoms, zig/zag).  Each `bisimilar` call computes P once by
@@ -35,17 +33,20 @@ at once for a pair outside P, building no level, and a level makes child
 decisions only at pairs in P: P ∩ L and L, the locally ok pairs, share
 their greatest zig/zag-closed subset.
 
-Minimal surjective sets are the minimal edge covers of G(s,t) read as a
-bipartite graph, generated lazily, smallest first; each one tried is
-charged to the node budget, and exceeding it raises instead of returning
-a wrong verdict.  `brute_force_bisim` is an independent oracle for tiny
-inputs that literally enumerates relations Z and functions f.
+The search grows H from the empty set by a pair of G(s,t) reaching the
+first label H misses, and drops a branch once (s,t) leaves H's fixpoint,
+which only shrinks as H grows.  It is complete: given a surjective H*
+that works, the branch that always adds a pair of H* stays inside H*,
+so its fixpoints hold that of H* and (s,t), and it ends at a surjective
+subset of H*, minimal or not, which is all the witness needs.  A search
+node, one fixpoint test, costs one unit of the node budget; exceeding
+it raises instead of returning a wrong verdict.  `brute_force_bisim`, an
+independent oracle for tiny inputs, enumerates relations Z and functions f.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional
 
@@ -179,55 +180,6 @@ def _constant_pairs(m, n, u, v, vocab) -> set:
     return pairs - {(None, None)}
 
 
-def _minimal_covers(g, labels_m, labels_n):
-    """Yield each minimal surjective subset of `g` once: by size, then by
-    sorted pairs.
-
-    A surjective set is minimal exactly when each of its pairs has an end
-    (a label on one side) that no other pair reaches.  Covers grow one
-    pair at a time in the sorted order of `g`, refusing a pair that would
-    take that end from a chosen pair.  Each pair reaches one or two
-    labels not yet covered, which bounds the pairs still to come.
-    """
-    edges = sorted(g)
-    last = {}  # end -> index of the last pair reaching it
-    for k, (a, b) in enumerate(edges):
-        last[0, a] = last[1, b] = k
-    if len(last) != len(labels_m) + len(labels_n):
-        return
-    degree: Counter = Counter()
-    chosen: list[tuple[str, str]] = []
-
-    def keeps_own_end(side, label):
-        # The one chosen pair at this end must own its other end.
-        pair = next(p for p in chosen if p[side] == label)
-        return degree[1 - side, pair[1 - side]] == 1
-
-    def grow(start, uncovered, todo):
-        if not todo <= uncovered <= 2 * todo:
-            return
-        if not todo:
-            yield frozenset(chosen)
-            return
-        # The uncovered end whose last pair comes first must be reached by then.
-        stop = min(last[end] for end in last if not degree[end])
-        for k in range(start, stop + 1):
-            ends = ((0, edges[k][0]), (1, edges[k][1]))
-            fresh = sum(not degree[end] for end in ends)
-            if not fresh or any(degree[end] == 1 and not keeps_own_end(*end) for end in ends):
-                continue
-            degree.update(ends)
-            chosen.append(edges[k])
-            yield from grow(k + 1, uncovered - fresh, todo - 1)
-            chosen.pop()
-            degree.subtract(ends)
-
-    # A cover has at least one pair per label of the larger side and, having
-    # at least one connected component, at most one pair fewer than labels.
-    for size in range(max(len(labels_m), len(labels_n)), max(len(last), 1)):
-        yield from grow(0, len(last), size)
-
-
 class _Ctx:
     def __init__(self, vocab: Vocabulary, budget: _Budget):
         self.vocab = vocab
@@ -263,9 +215,9 @@ class _Ctx:
             self.classes.setdefault(m, {})[w] = c
 
     def decide(self, m, n, s, t) -> Optional[frozenset]:
-        """The first minimal surjective H ⊆ G(s,t) whose fixpoint contains
-        (s, t), or None when (m, s) and (n, t) are not bisimilar, at once
-        when they are not plainly bisimilar."""
+        """The first surjective H ⊆ G(s,t) the search finds whose fixpoint
+        contains (s, t), or None when (m, s) and (n, t) are not bisimilar,
+        at once when they are not plainly bisimilar."""
         if not self.classes:
             self._classify(m, n)
         if self.classes[m][s] != self.classes[n][t]:
@@ -278,12 +230,25 @@ class _Ctx:
         return self.covers[key]
 
     def _search(self, level: _PairLevel, s, t) -> Optional[frozenset]:
-        if (s, t) in level.candidates:
-            for h in _minimal_covers(level.g[(s, t)], level.labels_m, level.labels_n):
-                self.budget.spend()
-                if (s, t) in level.fixpoint(h):
-                    return h
-        return None
+        """Grow H one pair of G(s,t) at a time, each reaching the first label
+        H misses, and drop a branch once (s, t) leaves H's fixpoint."""
+        if (s, t) not in level.candidates:
+            return None
+        g = sorted(level.g[(s, t)])
+        ends = [(0, a) for a in level.labels_m] + [(1, b) for b in level.labels_n]
+
+        def grow(h):
+            self.budget.spend()
+            if (s, t) not in level.fixpoint(h):
+                return None
+            missed = next(((side, label) for side, label in ends if all(p[side] != label for p in h)), None)
+            if missed is None:
+                return h
+            side, label = missed
+            found = (grow(h | {p}) for p in g if p[side] == label)
+            return next((got for got in found if got is not None), None)
+
+        return grow(frozenset())
 
     def witness(self, m, n, s, t) -> BisimWitness:
         """The witness of a pair `decide` found bisimilar, shared by every
@@ -438,20 +403,24 @@ def witness_to_document(w: BisimWitness) -> dict:
 def witness_from_document(doc: dict) -> BisimWitness:
     """Read `witness_to_document`'s table in one forward pass and return
     its last entry.  Each entry becomes one object, so shared sub-witnesses
-    come back shared.  An entry whose keys are not exactly z, h and
-    children, a child index that is not an earlier entry, or an empty
-    table raises `ValueError`, so no cycle can be written down."""
+    come back shared.  A document of any other shape, an entry whose keys
+    are not exactly z, h and children, a child index that is not an
+    earlier entry, or an empty table raises `ValueError`, so no cycle can
+    be written down."""
     built: list[BisimWitness] = []
-    for entry in doc.get("witnesses", []):
-        if not isinstance(entry, dict) or entry.keys() != {"z", "h", "children"}:
-            raise ValueError("a witness entry must have exactly the keys z, h and children")
-        children = {}
-        for a, b, wa, wb, i in entry["children"]:
-            if not isinstance(i, int) or not 0 <= i < len(built):
-                raise ValueError(f"child witness index {i!r} is not an earlier entry")
-            children[a, b, wa, wb] = built[i]
-        z, h = frozenset((u, v) for u, v in entry["z"]), frozenset((a, b) for a, b in entry["h"])
-        built.append(BisimWitness(z, h, children))
+    try:
+        for entry in doc["witnesses"]:
+            if not isinstance(entry, dict) or entry.keys() != {"z", "h", "children"}:
+                raise ValueError("a witness entry must have exactly the keys z, h and children")
+            children = {}
+            for a, b, wa, wb, i in entry["children"]:
+                if not isinstance(i, int) or not 0 <= i < len(built):
+                    raise ValueError(f"child witness index {i!r} is not an earlier entry")
+                children[a, b, wa, wb] = built[i]
+            z, h = frozenset((u, v) for u, v in entry["z"]), frozenset((a, b) for a, b in entry["h"])
+            built.append(BisimWitness(z, h, children))
+    except (KeyError, TypeError) as error:
+        raise ValueError(f"not a witness table: {error}") from None
     if not built:
         raise ValueError("empty witness table")
     return built[-1]

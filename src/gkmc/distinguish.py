@@ -31,7 +31,7 @@ result, which the tests check on the stream directly), so on a bisimilar
 pair the search cannot succeed.  `distinguish` asks `bisimilar` once,
 just before the last cost batch: a bisimilar verdict whose witness
 passes `check_witness` ends the search with None, the answer the stream
-would give.  The search may try at most `_PROOF_BUDGET` child covers,
+would give.  The search may visit at most `_PROOF_BUDGET` nodes,
 not `bisimilar`'s default 500,000: the proof only saves reading one
 batch, so it must not cost much more than that batch.  A budget cutoff
 or a witness that fails its check proves nothing, and the search reads
@@ -76,10 +76,10 @@ _FORMULA_VARS = ("X", "Y", "Z")
 _TOP = Top()
 _BOT = bot()
 
-# Child covers the proof of bisimilarity may try.  The bisimilar pairs of
-# tiny, W8/C4/D2 and W16/C6/D3 generated populations need at most 764.
-# A pair whose search tries every perfect matching of 8 children runs
-# out of `bisimilar`'s default 500,000 after about a minute.
+# Search nodes the proof of bisimilarity may visit.  A `bisimilar` call
+# on generated `dup_child` pairs visits at most 27 on tiny models, 115
+# at W8/C4/D2 and 1,107 at W16/C6/D3, where one model of 40 passes
+# 1,000 at every world; there the proof gives up and the batch is read.
 _PROOF_BUDGET = 1_000
 
 
@@ -293,7 +293,7 @@ def _first_separator(
 
 def _proved_bisimilar(pm: PointedModel, pn: PointedModel, vocab: Vocabulary) -> bool:
     """Whether `bisimilar` finds the pair bisimilar over `vocab` within
-    `_PROOF_BUDGET` covers, with a witness that `check_witness` accepts.
+    `_PROOF_BUDGET` search nodes, with a witness that `check_witness` accepts.
     A budget cutoff proves nothing."""
     try:
         verdict = bisimilar(pm, pn, vocab=vocab, budget=_PROOF_BUDGET)

@@ -113,8 +113,9 @@ class Evaluator:
         return r.world_set(self._eval(r, sentence, {}, {}))
 
     def formula_worlds(self, m: GenealogicalModel, f: Formula, interp: InterpretationPair) -> frozenset[str]:
-        r = self._record(m)
-        return r.world_set(self._eval(r, f, dict(interp.model_vars), dict(interp.formula_vars)))
+        plain = Evaluator(use_memo=False)  # a memo key would miss variables used by bodies in `interp`
+        r = plain._record(m)
+        return r.world_set(plain._eval(r, f, dict(interp.model_vars), dict(interp.formula_vars)))
 
     # -- internals ----------------------------------------------------
 
@@ -241,15 +242,14 @@ def holds_at(m: GenealogicalModel, world: str, sentence: Formula, *, use_memo: b
     return world in evaluate_sentence(m, sentence, use_memo=use_memo)
 
 
-def valuation(m: GenealogicalModel, f: Formula, interp: InterpretationPair = EMPTY_INTERPRETATION, *, use_memo: bool = False) -> frozenset[str]:
+def valuation(m: GenealogicalModel, f: Formula, interp: InterpretationPair = EMPTY_INTERPRETATION) -> frozenset[str]:
     """Raw clause evaluation of an arbitrary formula under explicit interpretations.
 
-    Unlike `evaluate_sentence` this performs no sentence check; on formulas
-    that are not sentences it may raise `UndefinedInterpretationError`.
-    Memoization is off by default because its cache keys are only sound for
-    inputs reachable from sentence evaluation.  This function, the
-    interpretation types and `Evaluator.formula_worlds` are kept because the
-    tests evaluate open formulas through them and the benchmark's layer
-    tracer wraps `formula_worlds` by name.
+    Unlike `evaluate_sentence` this performs no sentence check and uses no
+    memo table; on formulas that are not sentences it may raise
+    `UndefinedInterpretationError`.  This function, the interpretation
+    types and `Evaluator.formula_worlds` are kept because the tests
+    evaluate open formulas through them and the benchmark's layer tracer
+    wraps `formula_worlds` by name.
     """
-    return Evaluator(use_memo).formula_worlds(m, f, interp)
+    return Evaluator().formula_worlds(m, f, interp)

@@ -2,7 +2,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gkmc.bisim import (
     DEFAULT_BUDGET,
@@ -16,7 +16,7 @@ from gkmc.bisim import (
     witness_to_document,
 )
 from gkmc import bisim as bisim_module
-from gkmc.bisim import _Budget, _Ctx, _minimal_covers, _successors, _surjective
+from gkmc.bisim import _Budget, _Ctx, _successors, _surjective
 from gkmc.distinguish import EnumerationBudget, distinguish
 from gkmc.generate import GenSpec, break_child, dup_child, gen_model
 from gkmc.model import GenealogicalModel, PointedModel, load_model, model_vocabulary
@@ -24,6 +24,9 @@ from gkmc.semantics import holds_at
 from gkmc.syntax import Vocabulary, format_formula
 
 from conftest import TINY, load_script, twins_and_retrack
+
+
+W8 = dict(max_worlds=8, max_children=4, max_depth=2, edge_density=0.4)
 
 
 def _pointed(m, k=0):
@@ -407,8 +410,11 @@ def _with_child(index):
         {"z": _LEAF["z"], "h": _LEAF["h"], "children": {}},
         {"witnesses": [{"z": _LEAF["z"], "f": [{"pair": ["u", "u"], "children": []}], "children": []}]},
         {"witnesses": [{**_LEAF, "note": ""}]},
+        {"witnesses": 5},
+        {"witnesses": [{**_LEAF, "z": 5}]},
+        [_LEAF],
     ],
-    ids=["forward", "self", "negative", "empty", "nested", "per-pair-f", "extra-key"],
+    ids=["forward", "self", "negative", "empty", "nested", "per-pair-f", "extra-key", "table-not-a-list", "z-not-a-list", "document-a-list"],
 )
 def test_witness_table_rejects_bad_indices_and_other_formats(doc):
     with pytest.raises(ValueError):
@@ -476,26 +482,29 @@ def test_wide_generated_dup_child_bisimilar_within_default_budget():
     assert check_witness(pm, pd, verdict.witness).ok
 
 
-def _brute_minimal_covers(g, labels_m, labels_n):
-    edges = sorted(g)
-    covers = [
-        frozenset(c)
-        for k in range(len(edges) + 1)
-        for c in itertools.combinations(edges, k)
-        if _surjective(c, labels_m, labels_n)
-    ]
-    minimal = [c for c in covers if not any(o < c for o in covers)]
-    return sorted(minimal, key=lambda c: (len(c), sorted(c)))
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2**16 - 1))
-def test_minimal_covers_match_exhaustive_filter(left, right, mask):
-    labels_m = tuple(f"a{k}" for k in range(left))
-    labels_n = tuple(f"b{k}" for k in range(right))
-    all_pairs = [(a, b) for a in labels_m for b in labels_n]
-    g = frozenset(p for k, p in enumerate(all_pairs) if mask >> k & 1)
-    assert list(_minimal_covers(g, labels_m, labels_n)) == _brute_minimal_covers(g, labels_m, labels_n)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(["independent", "dup_child", "break_child", "retrack"]), st.integers(0, 10_000), st.sampled_from([TINY, W8]))
+def test_search_finds_a_cover_exactly_when_some_surjective_subset_works(kind, seed, spec):
+    if kind == "retrack":
+        pair = twins_and_retrack(seed)
+        assume(pair is not None)
+        m, n = pair
+        s = t = m.worlds[seed % len(m.worlds)]
+    else:
+        m, n, s, t = _candidate_pair(kind, seed, spec)
+    ctx = _Ctx(model_vocabulary(m, n), _Budget(DEFAULT_BUDGET))
+    ctx.decide(m, n, s, t)
+    for level in list(ctx.levels.values()):
+        for q in sorted(level.candidates):
+            g = sorted(level.g[q])
+            if len(g) > 12:
+                continue
+            subsets = (frozenset(c) for k in range(len(g) + 1) for c in itertools.combinations(g, k))
+            works = any(_surjective(h, level.labels_m, level.labels_n) and q in level.fixpoint(h) for h in subsets)
+            h = ctx._search(level, *q)
+            assert (h is not None) == works
+            if h is not None:
+                assert h <= level.g[q] and _surjective(h, level.labels_m, level.labels_n) and q in level.fixpoint(h)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -516,7 +525,7 @@ def test_wider_generated_models_bisimilar_to_themselves_and_dup_child(seed, pick
 
 
 def _retracked_pair():
-    """A pair that plain refinement keeps but no minimal cover does.
+    """A pair that plain refinement keeps but no cover does.
 
     Both sides step once and have two copies of one 2-world child, `p` at
     `x` only.  The left tracks its children at x, y at both worlds; the
@@ -624,9 +633,6 @@ def _naive_plain_pairs(a, b, props):
 ])
 def test_plain_pairs_match_naive_refinement_on_atoms(m, n):
     assert _same_class(_classified(m, n), m, n) == _naive_plain_pairs(m, n, model_vocabulary(m, n).props)
-
-
-W8 = dict(max_worlds=8, max_children=4, max_depth=2, edge_density=0.4)
 
 
 def _candidate_pair(kind, seed, spec):

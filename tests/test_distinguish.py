@@ -12,7 +12,7 @@ import pytest
 from gkmc.bisim import BisimVerdict, BisimWitness, BudgetExceededError, bisimilar, brute_force_bisim
 from gkmc.distinguish import EnumerationBudget, distinguish, enumerate_sentences
 from gkmc.generate import GenSpec, SplitMix64, break_child, derive, dup_child, gen_model
-from gkmc.model import GenealogicalModel, PointedModel, load_model, same_structure
+from gkmc.model import GenealogicalModel, PointedModel, load_model, model_vocabulary, same_structure
 from gkmc.semantics import Evaluator, holds_at
 from gkmc.syntax import Prop, Vocabulary, check_sentence, format_formula, parse
 
@@ -407,11 +407,12 @@ def test_a_real_budget_cutoff_falls_back_to_the_stream(monkeypatch, empty_stream
 
 
 def _matching_pair(k):
-    """A non-bisimilar pair whose bisimilarity search tries every perfect
-    matching of k children: identical k-world chains, all tracked at the
-    chain's end at the roots; the left root's one successor tracks child
-    i at chain world i, the right root's two successors at j and j+1 mod k,
-    so no cover of the roots' children fits both."""
+    """A non-bisimilar pair of k identical children: identical k-world
+    chains, all tracked at the chain's end at the roots; the left root's
+    one successor tracks child i at chain world i, the right root's two
+    successors at j and j+1 mod k, so no cover of the roots' children fits
+    both.  A search through the perfect matchings of the children one at
+    a time would try k! of them."""
     labels = [f"k{i}" for i in range(k)]
     child = {"worlds": [f"c{i}" for i in range(k)], "relation": [[f"c{i}", f"c{i - 1}"] for i in range(1, k)]}
     at = lambda shift: {label: f"c{(i + shift) % k}" for i, label in enumerate(labels)}
@@ -422,23 +423,40 @@ def _matching_pair(k):
     return PointedModel(load_model(json.dumps(left)), "s"), PointedModel(load_model(json.dumps(right)), "t")
 
 
-def test_a_costly_proof_gives_up_within_the_proof_budget(monkeypatch):
-    # Trying every cover would take about a minute; the proof stops after
-    # _PROOF_BUDGET of them and the stream finds the separator.
+@pytest.mark.parametrize("k", [6, 8, 12])
+def test_matching_pairs_are_decided_within_a_small_budget(k):
+    # Each of the k * k child pairs decided at the roots' tracked worlds
+    # costs one search node; the roots' own search needs few more.
+    pm, pn = _matching_pair(k)
+    assert not bisimilar(pm, pn, vocab=P_ONLY, budget=k * k + 100).bisimilar
+
+
+def test_a_matching_pair_proof_returns_a_verdict_within_the_proof_budget(monkeypatch):
     pm, pn = _matching_pair(6)
-    budget = EnumerationBudget(4, 4, P_ONLY)
-    with pytest.raises(BudgetExceededError):
-        bisimilar(pm, pn, vocab=P_ONLY, budget=_distinguish_module._PROOF_BUDGET)
     budgets = []
 
     def recorded(*args, budget, **kwargs):
         budgets.append(budget)
         return bisimilar(*args, budget=budget, **kwargs)
 
+    assert not bisimilar(pm, pn, vocab=P_ONLY, budget=_distinguish_module._PROOF_BUDGET).bisimilar
     monkeypatch.setattr(_distinguish_module, "bisimilar", recorded)
     assert distinguish(pm, pn, EnumerationBudget(3, 4, P_ONLY)) is None
-    assert format_formula(distinguish(pm, pn, budget)) == "forall x. ~[]~?[~[]F] x"
+    assert format_formula(distinguish(pm, pn, EnumerationBudget(4, 4, P_ONLY))) == "forall x. ~[]~?[~[]F] x"
     assert budgets == [_distinguish_module._PROOF_BUDGET] * 2
+
+
+def test_a_costly_proof_gives_up_within_the_proof_budget(empty_stream):
+    # A bisimilar pair whose search needs about 4,000 nodes: the proof
+    # stops after _PROOF_BUDGET of them and the whole stream is read.
+    m = gen_model(GenSpec(seed=0, max_worlds=24, max_children=8, max_depth=3, edge_density=0.3))
+    pm, pn = PointedModel(m, "s0"), PointedModel(dup_child(m, "n0"), "s0")
+    vocab = model_vocabulary(pm.model, pn.model)
+    with pytest.raises(BudgetExceededError):
+        bisimilar(pm, pn, vocab=vocab, budget=_distinguish_module._PROOF_BUDGET)
+    assert bisimilar(pm, pn, vocab=vocab).bisimilar
+    assert distinguish(pm, pn, EnumerationBudget(4, 4, vocab)) is None
+    assert len(_distinguish_module._stream.ends) == 5  # the whole stream was read
 
 
 @pytest.mark.parametrize("fake", [None, _budget_exhausted, _unchecked_witness], ids=["real", "budget-exceeded", "witness-fails-check"])

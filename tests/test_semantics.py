@@ -170,6 +170,16 @@ def test_interpretation_rebinding_overwrites(de_dicto):
     assert interp2.formula_vars == {"X": Prop("r")}
 
 
+def test_open_formula_is_evaluated_per_binding(de_dicto):
+    # The memo key of X would leave out x, which its body names, and so
+    # reuse the first child's answer for the second.
+    body = QueryVar(Prop("r"), "x")
+    f, interp = Forall("x", FormulaVar("X")), InterpretationPair({}, {"X": body})
+    expected = evaluate_sentence(de_dicto, Forall("x", body))
+    assert expected == frozenset()
+    assert Evaluator().formula_worlds(de_dicto, f, interp) == valuation(de_dicto, f, interp) == expected
+
+
 def test_holds_at_unknown_world(de_dicto):
     with pytest.raises(ValueError):
         holds_at(de_dicto, "zz", Top())
