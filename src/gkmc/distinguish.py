@@ -257,8 +257,7 @@ def distinguish(pm: PointedModel, pn: PointedModel, budget: EnumerationBudget) -
     without reading that batch."""
     stream = _stream_for(budget)
     sentences = enumerate_sentences(budget)
-    left = Evaluator()
-    right = Evaluator()
+    ev = Evaluator()  # one record per model, so both sides share it
     last = budget.max_connective_depth
     start = 0
     for cost in range(last + 1):
@@ -267,19 +266,17 @@ def distinguish(pm: PointedModel, pn: PointedModel, budget: EnumerationBudget) -
         # Read one batch, built first as the reader would build it on
         # entering it; islice stops without asking for the next sentence.
         end = stream.end(cost)
-        separator = _first_separator(pm, pn, itertools.islice(sentences, end - start), left, right)
+        separator = _first_separator(pm, pn, itertools.islice(sentences, end - start), ev)
         if separator is not None:
             return separator
         start = end
     return None
 
 
-def _first_separator(
-    pm: PointedModel, pn: PointedModel, sentences: Iterator[Formula], left: Evaluator, right: Evaluator
-) -> Optional[Formula]:
+def _first_separator(pm: PointedModel, pn: PointedModel, sentences: Iterator[Formula], ev: Evaluator) -> Optional[Formula]:
     for sentence in sentences:
-        sat_m = pm.world in left.sentence_worlds(pm.model, sentence)
-        sat_n = pn.world in right.sentence_worlds(pn.model, sentence)
+        sat_m = pm.world in ev.sentence_worlds(pm.model, sentence)
+        sat_n = pn.world in ev.sentence_worlds(pn.model, sentence)
         if sat_m != sat_n:
             fresh_m = holds_at(pm.model, pm.world, sentence, use_memo=False)
             fresh_n = holds_at(pn.model, pn.world, sentence, use_memo=False)

@@ -3,7 +3,7 @@
 A formula denotes the set of worlds where it holds, computed by
 structural recursion under two interpretations: one mapping model
 variables to children of the current model (by label) and one mapping
-formula variables to the bodies harvested from their `xi` binders.
+formula variables to the nodes they stand for, in a sentence their `xi`.
 Query application `?[phi] t` descends into the named child at its
 tracked world, inheriting the formula-variable interpretation but
 resetting the model-variable one, since the child has its own domain.
@@ -23,8 +23,11 @@ World sets are `int` bitmasks, bit `i` standing for `m.worlds[i]`, so
 its successor mask, and a query one bit test per world in the child's
 mask.  An `Evaluator` keeps one `_ModelRecord` per model it visits:
 the model's world bits and memo table, built on the first visit, and
-its successor masks, built at the first `[]`.  Only the public entry
-points turn a mask back into a `frozenset` of world names.
+its successor masks, built at the first `[]`.  The memo stores closed
+nodes only, under the node alone, as their value depends on the model
+alone; C2 makes each `xi` of a sentence closed, so every unfolding of
+`X` is a lookup.  Only the public entry points turn a mask back into a
+`frozenset` of world names.
 """
 
 from __future__ import annotations
@@ -72,7 +75,7 @@ class InterpretationPair:
     """The two partial maps threaded through evaluation."""
 
     model_vars: Mapping[str, str]  # variable -> child label of the current model
-    formula_vars: Mapping[str, Formula]  # variable -> xi body
+    formula_vars: Mapping[str, Formula]  # variable -> the node it stands for, e.g. its xi
 
     def bind_model_var(self, var: str, label: str) -> "InterpretationPair":
         return InterpretationPair({**self.model_vars, var: label}, self.formula_vars)
@@ -87,11 +90,11 @@ EMPTY_INTERPRETATION = InterpretationPair({}, {})
 class Evaluator:
     """Evaluates formulas, optionally sharing memo tables across calls.
 
-    A model's memo table keys a formula with an empty `free_vars` summary
-    (every sentence) by the node alone, and any other by the node and both
-    interpretations restricted to its free variables (a superset of what
-    its value can depend on), so results are reused across worlds, sibling
-    conjuncts and whole sentence streams.  The records hold their models
+    A model's memo table keys each closed node (no free model or formula
+    variables by `free_vars`) by the node alone, its value depending on
+    the model alone, so entries are reused across worlds, conjuncts,
+    sentence streams and the interpretations given to `formula_worlds`;
+    open nodes are evaluated each time.  The records hold their models
     for the evaluator's lifetime.  `use_memo=False` runs the same clauses
     with no memo table; the test suite checks both paths against an
     independent set-based evaluator.
@@ -113,9 +116,8 @@ class Evaluator:
         return r.world_set(self._eval(r, sentence, {}, {}))
 
     def formula_worlds(self, m: GenealogicalModel, f: Formula, interp: InterpretationPair) -> frozenset[str]:
-        plain = Evaluator(use_memo=False)  # a memo key would miss variables used by bodies in `interp`
-        r = plain._record(m)
-        return r.world_set(plain._eval(r, f, dict(interp.model_vars), dict(interp.formula_vars)))
+        r = self._record(m)
+        return r.world_set(self._eval(r, f, dict(interp.model_vars), dict(interp.formula_vars)))
 
     # -- internals ----------------------------------------------------
 
@@ -123,34 +125,28 @@ class Evaluator:
         return self._records.get(m) or self._records.setdefault(m, _ModelRecord(m, self._use_memo))
 
     def _eval(self, r: _ModelRecord, f: Formula, mv: dict, fv: dict) -> int:
+        if type(f) is FormulaVar:  # stands for its node: in a sentence, its closed `xi`
+            bound = fv.get(f.name)
+            if bound is None:
+                raise UndefinedInterpretationError(f"formula variable {f.name!r} uninterpreted")
+            if type(bound) is FormulaVar:  # an interpretation passed in may chain variables
+                return self._eval(r, bound, mv, fv)
+            f = bound
         memo = r.memo
         if memo is not None:
-            hit = memo.get(f)  # only a closed formula is stored under the node alone
+            hit = memo.get(f)
             if hit is not None:
                 return hit
-            mdeps, _, fdeps, _ = free_vars(f)
-            if mdeps or fdeps:
-                bound = tuple([kv for kv in sorted(mv.items()) if kv[0] in mdeps])
-                key = (f, bound, tuple([kv for kv in sorted(fv.items()) if kv[0] in fdeps]))
-                hit = memo.get(key)
-                if hit is not None:
-                    return hit
-            else:
-                key = f
         try:
             clause = _CLAUSES[type(f)]
         except KeyError:
             raise TypeError(f"not a formula: {f!r}") from None
         worlds = clause(self, r, f, mv, fv)
         if memo is not None:
-            memo[key] = worlds
+            mdeps, _, fdeps, _ = free_vars(f)
+            if not (mdeps or fdeps):  # closed: its value depends on the model alone
+                memo[f] = worlds
         return worlds
-
-    def _formula_var(self, r: _ModelRecord, f: FormulaVar, mv: dict, fv: dict) -> int:
-        body = fv.get(f.name)
-        if body is None:
-            raise UndefinedInterpretationError(f"formula variable {f.name!r} uninterpreted")
-        return self._eval(r, body, mv, fv)
 
     def _box(self, r: _ModelRecord, f: Box, mv: dict, fv: dict) -> int:
         outside = r.full ^ self._eval(r, f.operand, mv, fv)
@@ -170,8 +166,8 @@ class Evaluator:
 
     def _query_var(self, r: _ModelRecord, f: QueryVar, mv: dict, fv: dict) -> int:
         label = mv.get(f.var)
-        if label is None:
-            raise UndefinedInterpretationError(f"model variable {f.var!r} uninterpreted")
+        if label not in r.model.children:
+            raise UndefinedInterpretationError(f"model variable {f.var!r} is not bound to a child")
         child = self._record(r.model.children[label])
         inner = self._eval(child, f.body, {}, fv)
         tracking, worlds = r.model.tracking, 0
@@ -194,12 +190,11 @@ class Evaluator:
 _CLAUSES = {
     Top: lambda ev, r, f, mv, fv: r.full,
     Prop: lambda ev, r, f, mv, fv: sum(r.bits[w] for w in r.model.valuation.get(f.name, ())),
-    FormulaVar: Evaluator._formula_var,
     Not: lambda ev, r, f, mv, fv: r.full ^ ev._eval(r, f.operand, mv, fv),
     And: lambda ev, r, f, mv, fv: ev._eval(r, f.left, mv, fv) & ev._eval(r, f.right, mv, fv),
     Box: Evaluator._box,
     Forall: Evaluator._forall,
-    Xi: lambda ev, r, f, mv, fv: ev._eval(r, f.body, mv, {**fv, f.var: f.body}),
+    Xi: lambda ev, r, f, mv, fv: ev._eval(r, f.body, mv, {**fv, f.var: f}),
     QueryVar: Evaluator._query_var,
     QueryConst: Evaluator._query_const,
 }
@@ -245,11 +240,11 @@ def holds_at(m: GenealogicalModel, world: str, sentence: Formula, *, use_memo: b
 def valuation(m: GenealogicalModel, f: Formula, interp: InterpretationPair = EMPTY_INTERPRETATION) -> frozenset[str]:
     """Raw clause evaluation of an arbitrary formula under explicit interpretations.
 
-    Unlike `evaluate_sentence` this performs no sentence check and uses no
-    memo table; on formulas that are not sentences it may raise
-    `UndefinedInterpretationError`.  This function, the interpretation
-    types and `Evaluator.formula_worlds` are kept because the tests
-    evaluate open formulas through them and the benchmark's layer tracer
-    wraps `formula_worlds` by name.
+    Unlike `evaluate_sentence` this performs no sentence check, and may
+    raise `UndefinedInterpretationError` on a formula that is not one; the
+    memo keeps closed subformulas only, sound under any interpretation.
+    This function, the interpretation types and `Evaluator.formula_worlds`
+    are kept because the tests evaluate open formulas through them and
+    the benchmark's layer tracer wraps `formula_worlds` by name.
     """
     return Evaluator().formula_worlds(m, f, interp)

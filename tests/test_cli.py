@@ -492,7 +492,7 @@ _vocab_docs = st.one_of(_json_values, _vocab_fields, _vocab_fields)
 def test_cli_exit_code_contract_on_generated_invocations(tiny_models, corpus_models, deep_models, vocab_path, data):
     def model(deep=False):
         # bisim and distinguish still recurse once per generation (ROADMAP
-        # item 3), so only validate and eval read the deep documents.
+        # item 1), so only validate and eval read the deep documents.
         sources = [tiny_models, corpus_models, *([deep_models] if deep else [])]
         return data.draw(st.one_of(*map(st.sampled_from, sources)))
 

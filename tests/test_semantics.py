@@ -4,6 +4,7 @@ import pathlib
 
 import pytest
 
+from gkmc.distinguish import EnumerationBudget, enumerate_sentences
 from gkmc.generate import GenSpec, gen_model, gen_sentence
 from gkmc.model import load_model, load_model_file, model_vocabulary
 from gkmc.semantics import (
@@ -30,6 +31,7 @@ from gkmc.syntax import (
     Vocabulary,
     Xi,
     diamond,
+    free_vars,
     parse,
 )
 
@@ -142,6 +144,9 @@ def test_xi_clause_is_direct_binding():
         m, FormulaVar("X"), InterpretationPair({}, {"X": body})
     )
     assert direct == evaluate_sentence(m, Xi("X", body))
+    # a variable may stand for another one
+    chained = InterpretationPair({}, {"X": FormulaVar("Y"), "Y": body})
+    assert valuation(m, FormulaVar("X"), chained) == direct
 
 
 def test_xi_unused_binding_is_inert(de_dicto):
@@ -161,6 +166,8 @@ def test_undefined_interpretation_raises(de_dicto):
         valuation(de_dicto, QueryVar(Prop("r"), "x"), EMPTY_INTERPRETATION)
     with pytest.raises(UndefinedInterpretationError):
         valuation(de_dicto, FormulaVar("X"), EMPTY_INTERPRETATION)
+    with pytest.raises(UndefinedInterpretationError):
+        valuation(de_dicto, QueryVar(Prop("r"), "x"), InterpretationPair({"x": "nope"}, {}))
 
 
 def test_interpretation_rebinding_overwrites(de_dicto):
@@ -178,6 +185,62 @@ def test_open_formula_is_evaluated_per_binding(de_dicto):
     expected = evaluate_sentence(de_dicto, Forall("x", body))
     assert expected == frozenset()
     assert Evaluator().formula_worlds(de_dicto, f, interp) == valuation(de_dicto, f, interp) == expected
+
+
+def test_memo_holds_closed_formulas_only():
+    # A closed node's value depends on the model alone, so it is the only
+    # kind of node whose answer is safe to reuse under any interpretation.
+    vocab = Vocabulary.of(props=["p", "q"], constants=["c"])
+    shared = Evaluator()
+    stream = list(enumerate_sentences(EnumerationBudget(2, 2, vocab)))
+    for seed in range(20):
+        m = gen_model(GenSpec(seed=seed, max_worlds=4, max_children=2, max_depth=2, prop_count=2))
+        for s in [gen_sentence(seed * 5 + k, vocab, max_connectives=8) for k in range(5)] + stream:
+            shared.sentence_worlds(m, s)
+    keys = [f for r in shared._records.values() for f in r.memo]
+    assert any(isinstance(f, Forall) for f in keys)
+    for f in keys:
+        assert isinstance(f, Formula), f
+        summary = free_vars(f)
+        assert not summary.model and not summary.formula, f
+
+
+def _chain(generations: int):
+    """One world `s` per generation, where `p` holds and both `#c` and
+    `#d` name the child `n`, tracked at its `s`."""
+    text = '{"worlds": ["s"], "valuation": {"p": ["s"]}}'
+    for _ in range(generations):
+        text = (
+            '{"worlds": ["s"], "valuation": {"p": ["s"]}, "children": {"n": ' + text + "},"
+            ' "assignment": {"s": {"c": "n", "d": "n"}}, "tracking": {"s": {"n": "s"}}}'
+        )
+    return load_model(text)
+
+
+def test_xi_unfolding_is_one_memo_entry_per_model():
+    # X stands for its closed xi node, so both queries below unfold to one
+    # lookup; bound to the open body instead, they would double per generation.
+    m = _chain(60)
+    shared = Evaluator()
+    assert shared.sentence_worlds(m, parse("xi X. (?[X] #c & ?[X] #d)", None)) == frozenset()
+    assert len(shared._records) == 61
+    assert all(len(r.memo) <= 1 for r in shared._records.values())
+
+
+@pytest.mark.parametrize(
+    "text, generations, expected",
+    [
+        ("xi X. ?[~~X] #c", 110, frozenset()),
+        ("xi X. (p & ?[X] #c)", 150, frozenset()),
+        ("xi X. forall x. ?[X] x", 150, frozenset({"s"})),
+    ],
+)
+@pytest.mark.parametrize("use_memo", [True, False])
+def test_evaluator_reach_on_chains(text, generations, expected, use_memo):
+    # Guards the stack cost of one xi unfolding per generation: one more
+    # Python frame each raises RecursionError on these chains under pytest.
+    m = _chain(generations)
+    assert evaluate_sentence(m, parse(text, None), use_memo=use_memo) == expected
 
 
 def test_holds_at_unknown_world(de_dicto):
