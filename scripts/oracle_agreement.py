@@ -15,13 +15,13 @@ import sys
 import time
 from dataclasses import replace
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+HERE = pathlib.Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
+from distinguish_digest import TINY
 from gkmc.bisim import bisimilar, brute_force_bisim, check_witness, witness_from_document, witness_to_document
 from gkmc.generate import GenSpec, SplitMix64, break_child, derive, gen_model, retrack
 from gkmc.model import PointedModel
-
-TINY = dict(max_worlds=3, max_children=2, max_depth=2, prop_count=1, constant_count=1, edge_density=0.45)
 
 
 def main():

@@ -15,8 +15,10 @@ import sys
 import time
 import traceback
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
+HERE = pathlib.Path(__file__).resolve().parent
+sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
+from distinguish_digest import TINY
 from gkmc.bisim import brute_force_bisim
 from gkmc.distinguish import EnumerationBudget, distinguish
 from gkmc.generate import GenSpec, SplitMix64, break_child, gen_model
@@ -35,12 +37,11 @@ def main():
     args = parser.parse_args()
 
     vocab = Vocabulary.of(props=["p"], constants=["c"])
-    tiny = dict(max_worlds=3, max_children=2, max_depth=2, prop_count=1, constant_count=1, edge_density=0.45)
 
     cases = []
     seed = args.seed
     while len(cases) < args.cases and seed < args.seed + 100 * args.cases:
-        m = gen_model(GenSpec(seed=seed, **tiny))
+        m = gen_model(GenSpec(seed=seed, **TINY))
         seed += 1
         if not m.children:
             continue

@@ -24,14 +24,16 @@ only grows along the way, so each pair q reached has f(s,t) ⊆ f(q) ⊆
 G(q), and the reached pairs lie in the fixpoint of H = f(s,t).
 
 Candidate sets are zig/zag-closed and agree on atoms, so lie in P, plain
-bisimilarity (atoms, zig/zag).  Each `bisimilar` call computes P once by
-partition refinement (Kanellakis & Smolka 1990) over the disjoint union
-of every (submodel, world) of both input trees; restricted to two of its
-components, P of a disjoint union is P of those two, since a world's
-class depends on the worlds it reaches alone.  So `decide` answers None
-at once for a pair outside P, building no level, and a level makes child
-decisions only at pairs in P: P ∩ L and L, the locally ok pairs, share
-their greatest zig/zag-closed subset.
+bisimilarity (atoms, zig/zag).  Each `bisimilar` call builds a context
+that computes P on construction by partition refinement (Kanellakis &
+Smolka 1990) over the disjoint union of every (submodel, world) of both
+input trees; restricted to two of its components, P of a disjoint union
+is P of those two, since a world's class depends on the worlds it
+reaches alone.  So `decide` answers None at once for a pair outside P,
+building no level, the one table per model pair that holds G, the
+candidates, the fixpoints and each world pair's cover and each cover's
+witness.  A level makes child decisions only at pairs in P: P ∩ L and L,
+the locally ok pairs, share their greatest zig/zag-closed subset.
 
 The search grows H from the empty set by a pair of G(s,t) reaching the
 first label H misses, and drops a branch once (s,t) leaves H's fixpoint,
@@ -39,9 +41,10 @@ which only shrinks as H grows.  It is complete: given a surjective H*
 that works, the branch that always adds a pair of H* stays inside H*,
 so its fixpoints hold that of H* and (s,t), and it ends at a surjective
 subset of H*, minimal or not, which is all the witness needs.  A search
-node, one fixpoint test, costs one unit of the node budget; exceeding
-it raises instead of returning a wrong verdict.  `brute_force_bisim`, an
-independent oracle for tiny inputs, enumerates relations Z and functions f.
+node, one fixpoint test, costs one unit of the node budget, which the
+context counts; exceeding it raises instead of returning a wrong
+verdict.  `brute_force_bisim`, an independent oracle for tiny inputs,
+enumerates relations Z and functions f and shares no code with the search.
 """
 
 from __future__ import annotations
@@ -95,27 +98,15 @@ def _successors(m: GenealogicalModel) -> dict[str, tuple[str, ...]]:
     return {w: tuple(ts) for w, ts in table.items()}
 
 
-class _Budget:
-    def __init__(self, limit: int):
-        self.remaining = limit
-
-    def spend(self, n: int = 1):
-        self.remaining -= n
-        if self.remaining < 0:
-            raise BudgetExceededError("bisimulation search budget exhausted")
-
-
 class _PairLevel:
-    """Decision data for one (left model, right model) pair: G per world
-    pair, the candidate pairs, the fixpoint of each H tried and the
-    witness of each H found."""
+    """Everything known about one (left model, right model) pair: G per
+    world pair, the candidate pairs, the fixpoint of each H tried, the
+    witness of each H found and the cover of each world pair decided."""
 
     def __init__(self, ctx, m, n):
         self.ctx = ctx
         self.m = m
         self.n = n
-        self.succ_m = ctx.succ[m]
-        self.succ_n = ctx.succ[n]
         self.labels_m = tuple(m.children)
         self.labels_n = tuple(n.children)
         self.g: dict[tuple[str, str], frozenset] = {}
@@ -128,6 +119,7 @@ class _PairLevel:
         self.candidates = self._refine({(u, v) for u in m.worlds for v in bucket.get(cls_m[u], ()) if self._local_ok(u, v)})
         self.fixpoints: dict[frozenset, frozenset] = {}
         self.witnesses: dict[frozenset, BisimWitness] = {}
+        self.covers: dict[tuple[str, str], Optional[frozenset]] = {}
 
     def _local_ok(self, u, v) -> bool:
         """G(u,v) is surjective and holds the constants' pairs."""
@@ -152,7 +144,7 @@ class _PairLevel:
 
     def _refine(self, alive: set) -> frozenset:
         """Shrink `alive` to its greatest subset closed under plain zig/zag."""
-        succ_m, succ_n = self.succ_m, self.succ_n
+        succ_m, succ_n = self.ctx.succ[self.m], self.ctx.succ[self.n]
         changed = True
         while changed:
             changed = False
@@ -164,6 +156,49 @@ class _PairLevel:
                     alive.discard((u, v))
                     changed = True
         return frozenset(alive)
+
+    def cover(self, s, t) -> Optional[frozenset]:
+        """The first surjective H ⊆ G(s,t) whose fixpoint contains (s, t),
+        or None.  Grow H one pair of G(s,t) at a time, each reaching the
+        first label H misses, and drop a branch once (s, t) leaves H's
+        fixpoint.  G is known at every pair of one plain class."""
+        if (s, t) not in self.covers:
+            ctx, g = self.ctx, sorted(self.g[s, t])
+            ends = [(0, a) for a in self.labels_m] + [(1, b) for b in self.labels_n]
+
+            def grow(h):
+                ctx.nodes += 1
+                if ctx.nodes > ctx.budget:
+                    raise BudgetExceededError("bisimulation search budget exhausted")
+                if (s, t) not in self.fixpoint(h):
+                    return None
+                missed = next(((side, label) for side, label in ends if all(p[side] != label for p in h)), None)
+                if missed is None:
+                    return h
+                side, label = missed
+                found = (grow(h | {p}) for p in g if p[side] == label)
+                return next((got for got in found if got is not None), None)
+
+            self.covers[s, t] = grow(frozenset()) if (s, t) in self.candidates else None
+        return self.covers[s, t]
+
+    def witness(self, h: frozenset) -> BisimWitness:
+        """The witness of cover `h`, shared by every pair of this level it
+        covers: Z is H's fixpoint.  Each q in Z is a candidate with H ⊆
+        G(q) holding its constants' pairs, so every child pair below has a
+        level, a cover and a witness."""
+        got = self.witnesses.get(h)
+        if got is None:
+            m, n, levels = self.m, self.n, self.ctx.levels
+            z = self.fixpoint(h)
+            child_witnesses = {}
+            for (u, v) in z:
+                for a, b in h | _constant_pairs(m, n, u, v, self.ctx.vocab):
+                    wa, wb = m.tracking[u][a], n.tracking[v][b]
+                    child = levels[m.children[a], n.children[b]]
+                    child_witnesses[a, b, wa, wb] = child.witness(child.cover(wa, wb))
+            got = self.witnesses[h] = BisimWitness(z=z, h=h, child_witnesses=child_witnesses)
+        return got
 
 
 def _surjective(pairs, labels_m, labels_n) -> bool:
@@ -181,21 +216,18 @@ def _constant_pairs(m, n, u, v, vocab) -> set:
 
 
 class _Ctx:
-    def __init__(self, vocab: Vocabulary, budget: _Budget):
+    def __init__(self, vocab: Vocabulary, budget: int, *roots: GenealogicalModel):
         self.vocab = vocab
         self.budget = budget
+        self.nodes = 0
         # Keyed by the model objects, which hash by identity.
         self.levels: dict[tuple[GenealogicalModel, GenealogicalModel], _PairLevel] = {}
-        self.covers: dict[tuple[GenealogicalModel, GenealogicalModel, str, str], Optional[frozenset]] = {}
-        # Per model of the first decided pair's trees: its successor table
-        # and each world's plain-bisimilarity class, ids shared by all.
+        # Per model under `roots`: its successor table and each world's
+        # plain-bisimilarity class, ids shared by all.  Split every
+        # (submodel, world) by atoms, then by class and successors'
+        # classes, until the class count over all of them stops growing.
         self.succ: dict[GenealogicalModel, dict[str, tuple[str, ...]]] = {}
         self.classes: dict[GenealogicalModel, dict[str, int]] = {}
-
-    def _classify(self, *roots):
-        """Split every (submodel, world) under `roots` by atoms, then by
-        class and successors' classes, until the class count over all of
-        them stops growing."""
         todo = list(roots)
         while todo:
             m = todo.pop()
@@ -206,7 +238,7 @@ class _Ctx:
         index = {node: k for k, node in enumerate(nodes)}
         succ = [[index[m, w2] for w2 in self.succ[m][w]] for m, w in nodes]
         ids: dict = {}
-        cls = [ids.setdefault(tuple(w in m.valuation.get(p, ()) for p in self.vocab.props), len(ids)) for m, w in nodes]
+        cls = [ids.setdefault(tuple(w in m.valuation.get(p, ()) for p in vocab.props), len(ids)) for m, w in nodes]
         count = 0
         while len(ids) > count:
             count, ids, prev = len(ids), {}, cls
@@ -215,57 +247,15 @@ class _Ctx:
             self.classes.setdefault(m, {})[w] = c
 
     def decide(self, m, n, s, t) -> Optional[frozenset]:
-        """The first surjective H ⊆ G(s,t) the search finds whose fixpoint
-        contains (s, t), or None when (m, s) and (n, t) are not bisimilar,
-        at once when they are not plainly bisimilar."""
-        if not self.classes:
-            self._classify(m, n)
+        """The cover of (s, t) at the level of (m, n), or None when (m, s)
+        and (n, t) are not bisimilar, at once when they are not plainly
+        bisimilar."""
         if self.classes[m][s] != self.classes[n][t]:
             return None
-        key = (m, n, s, t)
-        if key not in self.covers:
-            if (m, n) not in self.levels:
-                self.levels[m, n] = _PairLevel(self, m, n)
-            self.covers[key] = self._search(self.levels[m, n], s, t)
-        return self.covers[key]
-
-    def _search(self, level: _PairLevel, s, t) -> Optional[frozenset]:
-        """Grow H one pair of G(s,t) at a time, each reaching the first label
-        H misses, and drop a branch once (s, t) leaves H's fixpoint."""
-        if (s, t) not in level.candidates:
-            return None
-        g = sorted(level.g[(s, t)])
-        ends = [(0, a) for a in level.labels_m] + [(1, b) for b in level.labels_n]
-
-        def grow(h):
-            self.budget.spend()
-            if (s, t) not in level.fixpoint(h):
-                return None
-            missed = next(((side, label) for side, label in ends if all(p[side] != label for p in h)), None)
-            if missed is None:
-                return h
-            side, label = missed
-            found = (grow(h | {p}) for p in g if p[side] == label)
-            return next((got for got in found if got is not None), None)
-
-        return grow(frozenset())
-
-    def witness(self, m, n, s, t) -> BisimWitness:
-        """The witness of a pair `decide` found bisimilar, shared by every
-        pair of (m, n) with the same cover H: Z is H's fixpoint.
-        Each q in Z is a candidate with H ⊆ G(q) holding its constants'
-        pairs, so every child pair below has a cover and a witness."""
-        level, h = self.levels[m, n], self.covers[m, n, s, t]
-        got = level.witnesses.get(h)
-        if got is None:
-            z = level.fixpoint(h)
-            child_witnesses = {}
-            for (u, v) in z:
-                for a, b in h | _constant_pairs(m, n, u, v, self.vocab):
-                    wa, wb = m.tracking[u][a], n.tracking[v][b]
-                    child_witnesses[a, b, wa, wb] = self.witness(m.children[a], n.children[b], wa, wb)
-            got = level.witnesses[h] = BisimWitness(z=z, h=h, child_witnesses=child_witnesses)
-        return got
+        level = self.levels.get((m, n))
+        if level is None:
+            level = self.levels[m, n] = _PairLevel(self, m, n)
+        return level.cover(s, t)
 
 
 def bisimilar(
@@ -281,10 +271,11 @@ def bisimilar(
         raise ValueError(f"the bisimulation budget must be a non-negative int, not {budget!r}")
     if vocab is None:
         vocab = model_vocabulary(pm.model, pn.model)
-    ctx = _Ctx(vocab, _Budget(budget))
-    if ctx.decide(pm.model, pn.model, pm.world, pn.world) is None:
+    ctx = _Ctx(vocab, budget, pm.model, pn.model)
+    h = ctx.decide(pm.model, pn.model, pm.world, pn.world)
+    if h is None:
         return BisimVerdict(False, None)
-    return BisimVerdict(True, ctx.witness(pm.model, pn.model, pm.world, pn.world))
+    return BisimVerdict(True, ctx.levels[pm.model, pn.model].witness(h))
 
 
 # --------------------------------------------------------------------------
@@ -469,7 +460,8 @@ def _bf_decide(m, n, s, t, vocab, memo) -> bool:
 
 def _bf_search(m, n, s, t, vocab, memo) -> bool:
     labels_m, labels_n = tuple(m.children), tuple(n.children)
-    succ_m, succ_n = _successors(m), _successors(n)
+    succ_m = {u: [u2 for (u1, u2) in m.relation if u1 == u] for u in m.worlds}
+    succ_n = {v: [v2 for (v1, v2) in n.relation if v1 == v] for v in n.worlds}
 
     g = {}
     ok_pairs = []
@@ -485,7 +477,7 @@ def _bf_search(m, n, s, t, vocab, memo) -> bool:
                 if _bf_decide(m.children[a], n.children[b],
                               m.tracking[u][a], n.tracking[v][b], vocab, memo)
             )
-            if not _surjective(table, labels_m, labels_n):
+            if not _bf_onto(table, labels_m, labels_n):
                 continue  # no f value below the child clause can cover both sides
             constants_ok = True
             for c in vocab.constants:
@@ -508,7 +500,7 @@ def _bf_search(m, n, s, t, vocab, memo) -> bool:
         pair_values = []
         for mask in range(1 << len(table)):
             subset = frozenset(table[k] for k in range(len(table)) if mask >> k & 1)
-            if _surjective(subset, labels_m, labels_n):
+            if _bf_onto(subset, labels_m, labels_n):
                 pair_values.append(subset)
         values[pair] = pair_values
 
@@ -521,6 +513,11 @@ def _bf_search(m, n, s, t, vocab, memo) -> bool:
             if _bf_assign(sorted(z), 0, {}, z, values, succ_m, succ_n):
                 return True
     return False
+
+
+def _bf_onto(pairs, labels_m, labels_n) -> bool:
+    """Every left child and every right child occurs in some pair."""
+    return all(any(a == x for x, _ in pairs) for a in labels_m) and all(any(b == y for _, y in pairs) for b in labels_n)
 
 
 def _bf_zigzag_membership(z, succ_m, succ_n) -> bool:

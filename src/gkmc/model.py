@@ -325,9 +325,10 @@ def same_structure(a: GenealogicalModel, b: GenealogicalModel) -> bool:
 
 def depth(m: GenealogicalModel) -> int:
     """0 for a childless model, else one more than the deepest child."""
-    if not m.children:
-        return 0
-    return 1 + max(depth(child) for child in m.children.values())
+    generation, count = {m}, -1
+    while generation:  # submodels hash by identity: a shared child is walked once per generation
+        generation, count = {child for node in generation for child in node.children.values()}, count + 1
+    return count
 
 
 def model_vocabulary(*models: GenealogicalModel) -> Vocabulary:

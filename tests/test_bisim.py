@@ -16,7 +16,7 @@ from gkmc.bisim import (
     witness_to_document,
 )
 from gkmc import bisim as bisim_module
-from gkmc.bisim import _Budget, _Ctx, _successors, _surjective
+from gkmc.bisim import _Ctx, _successors, _surjective
 from gkmc.distinguish import EnumerationBudget, distinguish
 from gkmc.generate import GenSpec, break_child, dup_child, gen_model
 from gkmc.model import GenealogicalModel, PointedModel, load_model, model_vocabulary
@@ -148,6 +148,36 @@ def test_oracle_size_guard():
     crowded_model = load_model(json.dumps(crowded))
     with pytest.raises(OracleSizeError):
         brute_force_bisim(_pointed(crowded_model), _pointed(crowded_model))
+
+
+def _shared_chain(generations):
+    """A one-world model whose every generation has two labels for one child."""
+    m = GenealogicalModel(("w",), frozenset(), {}, {}, {}, {"w": {}})
+    for _ in range(generations):
+        m = GenealogicalModel(("w",), frozenset(), {}, {"a": m, "b": m}, {}, {"w": {"a": "w", "b": "w"}})
+    return m
+
+
+def test_oracle_guard_refuses_a_deep_model_by_size():
+    deep = _pointed(_shared_chain(3000))
+    with pytest.raises(OracleSizeError, match="depth exceeds"):
+        brute_force_bisim(deep, deep)
+
+
+def test_oracle_shares_no_code_with_the_decider(monkeypatch):
+    pairs = [_retracked_pair(), (_pointed(_shared_chain(2)), _pointed(_shared_chain(2)))]
+    for seed in range(12):
+        m, n = gen_model(GenSpec(seed=seed, **TINY)), gen_model(GenSpec(seed=seed + 50_000, **TINY))
+        pairs += [(_pointed(m), _pointed(n)), (_pointed(m), _pointed(m))]
+    expected = [brute_force_bisim(pm, pn) for pm, pn in pairs]
+    assert True in expected and False in expected
+
+    def decider_helper(*args):
+        raise AssertionError("the oracle called a decider helper")
+
+    monkeypatch.setattr(bisim_module, "_surjective", decider_helper)
+    monkeypatch.setattr(bisim_module, "_successors", decider_helper)
+    assert [brute_force_bisim(pm, pn) for pm, pn in pairs] == expected
 
 
 def test_search_agrees_with_oracle_on_random_tiny_pairs():
@@ -439,18 +469,19 @@ def test_witness_is_one_fixpoint_per_level_and_cover():
     pairs += [got for got in map(twins_and_retrack, range(6)) if got is not None]
     pointed = distinct = 0
     for m, n in pairs:
-        ctx = _Ctx(model_vocabulary(m, n), _Budget(DEFAULT_BUDGET))
+        ctx = _Ctx(model_vocabulary(m, n), DEFAULT_BUDGET, m, n)
         for w in m.worlds:
             ctx.decide(m, n, w, w)
         witnesses = {}
-        for (a, b, s, t), h in ctx.covers.items():
-            if h is None:
-                continue
-            got = ctx.witness(a, b, s, t)
-            assert got.z == ctx.levels[a, b].fixpoint(h)
-            assert got.h == h
-            assert witnesses.setdefault((a, b, h), got) is got
-            pointed += 1
+        for (a, b), level in ctx.levels.items():
+            for h in level.covers.values():
+                if h is None:
+                    continue
+                got = level.witness(h)
+                assert got.z == level.fixpoint(h)
+                assert got.h == h
+                assert witnesses.setdefault((a, b, h), got) is got
+                pointed += 1
         distinct += len(witnesses)
     # Pointed pairs with the same level and cover do occur.
     assert distinct < pointed
@@ -492,7 +523,7 @@ def test_search_finds_a_cover_exactly_when_some_surjective_subset_works(kind, se
         s = t = m.worlds[seed % len(m.worlds)]
     else:
         m, n, s, t = _candidate_pair(kind, seed, spec)
-    ctx = _Ctx(model_vocabulary(m, n), _Budget(DEFAULT_BUDGET))
+    ctx = _Ctx(model_vocabulary(m, n), DEFAULT_BUDGET, m, n)
     ctx.decide(m, n, s, t)
     for level in list(ctx.levels.values()):
         for q in sorted(level.candidates):
@@ -501,7 +532,7 @@ def test_search_finds_a_cover_exactly_when_some_surjective_subset_works(kind, se
                 continue
             subsets = (frozenset(c) for k in range(len(g) + 1) for c in itertools.combinations(g, k))
             works = any(_surjective(h, level.labels_m, level.labels_n) and q in level.fixpoint(h) for h in subsets)
-            h = ctx._search(level, *q)
+            h = level.cover(*q)
             assert (h is not None) == works
             if h is not None:
                 assert h <= level.g[q] and _surjective(h, level.labels_m, level.labels_n) and q in level.fixpoint(h)
@@ -546,7 +577,7 @@ def _retracked_pair():
 
 def test_cover_rejection_decides_a_refinement_candidate_non_bisimilar():
     pm, pn = _retracked_pair()
-    ctx = _Ctx(model_vocabulary(pm.model, pn.model), _Budget(DEFAULT_BUDGET))
+    ctx = _Ctx(model_vocabulary(pm.model, pn.model), DEFAULT_BUDGET, pm.model, pn.model)
     assert ctx.decide(pm.model, pn.model, pm.world, pn.world) is None
     assert (pm.world, pn.world) in ctx.levels[pm.model, pn.model].candidates
     assert not bisimilar(pm, pn).bisimilar
@@ -613,9 +644,7 @@ def _chain(length):
 
 def _classified(m, n):
     """A context whose one partition covers the trees of m and n."""
-    ctx = _Ctx(model_vocabulary(m, n), _Budget(DEFAULT_BUDGET))
-    ctx._classify(m, n)
-    return ctx
+    return _Ctx(model_vocabulary(m, n), DEFAULT_BUDGET, m, n)
 
 
 def _same_class(ctx, a, b):
@@ -658,7 +687,7 @@ def _candidate_pair(kind, seed, spec):
 )
 def test_candidates_equal_the_full_product_definition(kind, seed, spec):
     m, n, s, t = _candidate_pair(kind, seed, spec)
-    ctx = _Ctx(model_vocabulary(m, n), _Budget(DEFAULT_BUDGET))
+    ctx = _Ctx(model_vocabulary(m, n), DEFAULT_BUDGET, m, n)
     ctx.decide(m, n, s, t)
     for (a, b), level in list(ctx.levels.items()):
         assert level.candidates == _reference_candidates(ctx, a, b)
@@ -708,15 +737,15 @@ def test_refinement_runs_until_the_union_is_stable():
 
 def test_decide_outside_one_class_builds_no_level():
     cycle, chain = _cycle_and_longer_chain()
-    ctx = _Ctx(model_vocabulary(cycle, chain), _Budget(DEFAULT_BUDGET))
+    ctx = _Ctx(model_vocabulary(cycle, chain), DEFAULT_BUDGET, cycle, chain)
     assert ctx.decide(cycle, chain, "a", "a0") is None
-    assert not ctx.levels and not ctx.covers
+    assert not ctx.levels
 
 
 def test_wide_dup_child_cascade_stays_inside_plain_classes():
     m = gen_model(GenSpec(seed=4, max_worlds=16, max_children=6, max_depth=3, edge_density=0.4))
     d = dup_child(m, sorted(m.children)[0])
-    ctx = _Ctx(model_vocabulary(m, d), _Budget(DEFAULT_BUDGET))
+    ctx = _Ctx(model_vocabulary(m, d), DEFAULT_BUDGET, m, d)
     assert ctx.decide(m, d, m.worlds[0], d.worlds[0]) is not None
     # A level per pair of plainly bisimilar submodels met: 89, not 347.
     assert len(ctx.levels) < 150
@@ -725,10 +754,11 @@ def test_wide_dup_child_cascade_stays_inside_plain_classes():
 def test_wide_dup_child_cascade_decides_through_few_levels():
     m = gen_model(GenSpec(seed=4, max_worlds=16, max_children=6, max_depth=3, edge_density=0.4))
     d = dup_child(m, sorted(m.children)[0])
-    ctx = _Ctx(model_vocabulary(m, d), _Budget(DEFAULT_BUDGET))
-    assert ctx.decide(m, d, m.worlds[0], d.worlds[0]) is not None
+    ctx = _Ctx(model_vocabulary(m, d), DEFAULT_BUDGET, m, d)
+    h = ctx.decide(m, d, m.worlds[0], d.worlds[0])
+    assert h is not None
     assert len(ctx.levels) < 1000
-    witness = ctx.witness(m, d, m.worlds[0], d.worlds[0])
+    witness = ctx.levels[m, d].witness(h)
     assert check_witness(PointedModel(m, m.worlds[0]), PointedModel(d, d.worlds[0]), witness).ok
 
 
@@ -744,12 +774,30 @@ def test_search_agrees_with_oracle_on_retrack_pairs():
         m, r = pair
         for w in m.worlds:
             pm, pr = PointedModel(m, w), PointedModel(r, w)
-            ctx = _Ctx(model_vocabulary(m, r), _Budget(DEFAULT_BUDGET))
+            ctx = _Ctx(model_vocabulary(m, r), DEFAULT_BUDGET, m, r)
             found = ctx.decide(m, r, w, w) is not None
             assert found == bisimilar(pm, pr).bisimilar == brute_force_bisim(pm, pr)
             cover_rejections += not found and (w, w) in ctx.levels[m, r].candidates
     # The population reaches the case only the cover search decides.
     assert cover_rejections
+
+
+# --- exhaustive small scope -------------------------------------------------
+
+
+def test_exhaustive_sub_scope_finds_no_fault():
+    # Every 12th one-world parent, every 3rd two-world parent and every
+    # twin-child parent of the script's default scope: 11,449 ordered
+    # pairs, some of them rejected only by the cover search.  This
+    # sub-scope catches a decider that ignores constants in `_local_ok`,
+    # drops the zag half of `_refine` or stops the cover search at its
+    # first branch.
+    exhaustive = load_script("exhaustive")
+    _, one_child, two_world, twins = exhaustive.scope()
+    report = exhaustive.check([PointedModel(m, w) for m in one_child[::12] + two_world[::3] + twins for w in m.worlds])
+    assert report.faults == []
+    assert report.pairs == 107 * 107
+    assert report.bisimilar and report.cover_rejected
 
 
 # --- pinned output ----------------------------------------------------------

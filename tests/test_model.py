@@ -55,6 +55,16 @@ def test_depth_examples(de_dicto, waitall):
     assert depth(waitall) == 2
 
 
+def _depth_by_recursion(m):
+    return 1 + max(map(_depth_by_recursion, m.children.values())) if m.children else 0
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_depth_matches_the_recursive_definition(seed):
+    m = gen_model(GenSpec(seed=seed, max_worlds=4, max_children=3, max_depth=seed % 5))
+    assert depth(m) == _depth_by_recursion(m)
+
+
 def test_model_vocabulary(de_dicto, deadlock):
     v = model_vocabulary(de_dicto)
     assert v.props == frozenset({"r"})
