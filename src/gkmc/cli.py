@@ -10,6 +10,12 @@ disagreement; never a verdict).  With `--json` every result is a single
 JSON line with sorted keys, bit-stable across runs; otherwise output is
 human text.  Environment variables GKMC_BISIM_BUDGET, GKMC_MAX_DEPTH and
 GKMC_MAX_MODAL_DEPTH set default budget caps.
+
+Each subcommand returns its result as `(exit code, JSON payload, text)`
+and prints nothing.  `main` alone prints a result and alone maps an
+exception to an exit code: a `ValueError`, which every input error is,
+gives 2 and `{"error": "input"}`; anything else gives 4 and a traceback
+on stderr.
 """
 
 from __future__ import annotations
@@ -37,23 +43,13 @@ from .model import (
     dump_model,
     model_vocabulary,
     parse_document,
+    to_document,
     validate,
 )
-from .semantics import NotASentenceError, evaluate_sentence
-from .syntax import ParseError, Vocabulary, check_sentence, format_formula, parse
+from .semantics import evaluate_sentence
+from .syntax import Vocabulary, check_sentence, format_formula, parse
 
 OK, FAIL, INPUT_ERROR, UNKNOWN, INTERNAL = 0, 1, 2, 3, 4
-
-
-class _Output:
-    def __init__(self, as_json: bool):
-        self.as_json = as_json
-
-    def emit(self, payload: dict, text: str):
-        if self.as_json:
-            print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
-        elif text:
-            print(text)
 
 
 def _read(path):
@@ -61,87 +57,75 @@ def _read(path):
         with open(path, encoding="utf-8") as handle:
             return handle.read()
     except OSError as exc:
-        raise _InputError(f"cannot read {path}: {exc.strerror or exc}")
-
-
-class _InputError(Exception):
-    pass
+        raise ValueError(f"cannot read {path}: {exc.strerror or exc}")
 
 
 def _load_vocab(path) -> Vocabulary:
+    text = _read(path)
     try:
-        doc = json.loads(_read(path))
+        doc = json.loads(text)
         names = [doc.get(key, []) for key in ("props", "constants")] if isinstance(doc, dict) else None
         if names is None or not all(isinstance(ns, list) and all(isinstance(n, str) for n in ns) for ns in names):
             raise ValueError('want an object whose "props" and "constants" are arrays of strings')
         return Vocabulary.of(*names)
-    except (json.JSONDecodeError, ValueError, RecursionError) as exc:
-        raise _InputError(f"bad vocabulary file {path}: {exc}")
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"bad vocabulary file {path}: {exc}")
 
 
 def _load_valid_model(path):
     m = parse_document(_read(path))
     diagnostics = validate(m)
     if not diagnostics.verdict:
-        raise _InputError(
+        raise ValueError(
             f"invalid model {path}: "
             + "; ".join(f"{v.tag} at {v.path or '<root>'}" for v in diagnostics.violations)
         )
     return m
 
 
-def _parse_sentence(text, vocab, out):
-    formula = parse(text, vocab)
-    diagnostics = check_sentence(formula)
-    if not diagnostics.verdict:
-        lines = [f"{v.tag}: {v.message}" for v in diagnostics.violations]
-        out.emit(
-            {"error": "not-a-sentence", "violations": lines},
-            "not a sentence:\n  " + "\n  ".join(lines),
-        )
-        raise _Reported()
-    return formula
+def _pointed_pair(args, m, n):
+    """`m` at `world1` and `n` at `world2`, each world checked against its model."""
+    for path, model, world in ((args.model1, m, args.world1), (args.model2, n, args.world2)):
+        if world not in model.worlds:
+            raise ValueError(f"unknown world {world!r} in {path}")
+    return PointedModel(m, args.world1), PointedModel(n, args.world2)
 
 
-class _Reported(Exception):
-    pass
-
-
-def _cmd_validate(args, out) -> int:
+def _cmd_validate(args):
     try:
         m = parse_document(_read(args.model))
     except DocumentFormatError as exc:
-        out.emit({"error": "format", "message": str(exc)}, f"format error: {exc}")
-        return INPUT_ERROR
+        return INPUT_ERROR, {"error": "format", "message": str(exc)}, f"format error: {exc}"
     diagnostics = validate(m)
     if diagnostics.verdict:
-        out.emit({"valid": True}, "valid")
-        return OK
+        return OK, {"valid": True}, "valid"
     lines = [f"{v.tag} at {v.path or '<root>'}: {v.message}" for v in diagnostics.violations]
-    out.emit({"valid": False, "violations": lines}, "invalid:\n  " + "\n  ".join(lines))
-    return FAIL
+    return FAIL, {"valid": False, "violations": lines}, "invalid:\n  " + "\n  ".join(lines)
 
 
-def _cmd_eval(args, out) -> int:
+def _cmd_eval(args):
     m = _load_valid_model(args.model)
     vocab = _load_vocab(args.vocab) if args.vocab else model_vocabulary(m)
-    sentence = _parse_sentence(args.sentence, vocab, out)
+    sentence = parse(args.sentence, vocab)
+    diagnostics = check_sentence(sentence)
+    if not diagnostics.verdict:
+        lines = [f"{v.tag}: {v.message}" for v in diagnostics.violations]
+        return INPUT_ERROR, {"error": "not-a-sentence", "violations": lines}, "not a sentence:\n  " + "\n  ".join(lines)
     worlds = evaluate_sentence(m, sentence)
     ordered = [w for w in m.worlds if w in worlds]
-    if args.world is not None:
-        if args.world not in m.worlds:
-            raise _InputError(f"unknown world {args.world!r}")
-        holds = args.world in worlds
-        out.emit(
-            {"holds": holds, "world": args.world, "worlds": ordered},
-            f"{'holds' if holds else 'fails'} at {args.world}; satisfying worlds: {json.dumps(ordered)}",
-        )
-        return OK if holds else FAIL
-    out.emit({"worlds": ordered}, json.dumps(ordered))
-    return OK
+    if args.world is None:
+        return OK, {"worlds": ordered}, json.dumps(ordered)
+    if args.world not in m.worlds:
+        raise ValueError(f"unknown world {args.world!r}")
+    holds = args.world in worlds
+    return (
+        OK if holds else FAIL,
+        {"holds": holds, "world": args.world, "worlds": ordered},
+        f"{'holds' if holds else 'fails'} at {args.world}; satisfying worlds: {json.dumps(ordered)}",
+    )
 
 
-def _cmd_bisim(args, out) -> int:
+def _cmd_bisim(args):
     m = _load_valid_model(args.model1)
     n = _load_valid_model(args.model2)
     if args.vocab:
@@ -149,81 +133,64 @@ def _cmd_bisim(args, out) -> int:
         for path, side in ((args.model1, m), (args.model2, n)):
             mentioned = model_vocabulary(side)
             if not (mentioned.props <= vocab.props and mentioned.constants <= vocab.constants):
-                raise _InputError(f"model {path} mentions names outside the vocabulary")
+                raise ValueError(f"model {path} mentions names outside the vocabulary")
     else:
         vocab = model_vocabulary(m, n)
-    if args.world1 not in m.worlds:
-        raise _InputError(f"unknown world {args.world1!r} in {args.model1}")
-    if args.world2 not in n.worlds:
-        raise _InputError(f"unknown world {args.world2!r} in {args.model2}")
-    pm, pn = PointedModel(m, args.world1), PointedModel(n, args.world2)
+    pm, pn = _pointed_pair(args, m, n)
 
     budget = args.budget if args.budget is not None else int(os.environ.get("GKMC_BISIM_BUDGET", DEFAULT_BUDGET))
     try:
         verdict = bisimilar(pm, pn, vocab=vocab, budget=budget)
     except BudgetExceededError as exc:
-        out.emit({"bisimilar": None, "reason": str(exc)}, f"unknown: {exc}")
-        return UNKNOWN
+        return UNKNOWN, {"bisimilar": None, "reason": str(exc)}, f"unknown: {exc}"
 
     if args.oracle:
         try:
             oracle = brute_force_bisim(pm, pn, vocab=vocab)
         except OracleSizeError as exc:
-            raise _InputError(f"oracle infeasible: {exc}")
+            raise ValueError(f"oracle infeasible: {exc}")
         if oracle != verdict.bisimilar:
-            out.emit(
+            return (
+                INTERNAL,
                 {"error": "oracle-disagreement", "search": verdict.bisimilar, "oracle": oracle},
                 f"ORACLE DISAGREEMENT: search says {verdict.bisimilar}, brute force says {oracle}",
             )
-            return INTERNAL
 
-    if verdict.bisimilar:
-        report = check_witness(pm, pn, verdict.witness, vocab=vocab)
-        if not report.ok:
-            out.emit(
-                {"error": "witness-check-failed", "failures": [list(f) for f in report.failures]},
-                "internal error: produced witness fails verification",
-            )
-            return INTERNAL
-        if args.witness:
-            doc = witness_to_document(verdict.witness)
-            with open(args.witness, "w", encoding="utf-8") as handle:
-                json.dump(doc, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-        out.emit({"bisimilar": True}, "bisimilar")
-        return OK
-    out.emit({"bisimilar": False}, "not bisimilar")
-    return FAIL
+    if not verdict.bisimilar:
+        return FAIL, {"bisimilar": False}, "not bisimilar"
+    report = check_witness(pm, pn, verdict.witness, vocab=vocab)
+    if not report.ok:
+        return (
+            INTERNAL,
+            {"error": "witness-check-failed", "failures": [list(f) for f in report.failures]},
+            "internal error: produced witness fails verification",
+        )
+    if args.witness:
+        with open(args.witness, "w", encoding="utf-8") as handle:
+            json.dump(witness_to_document(verdict.witness), handle, indent=2, sort_keys=True)
+            handle.write("\n")
+    return OK, {"bisimilar": True}, "bisimilar"
 
 
-def _cmd_distinguish(args, out) -> int:
+def _cmd_distinguish(args):
     m = _load_valid_model(args.model1)
     n = _load_valid_model(args.model2)
     vocab = model_vocabulary(m, n)
-    if args.world1 not in m.worlds:
-        raise _InputError(f"unknown world {args.world1!r} in {args.model1}")
-    if args.world2 not in n.worlds:
-        raise _InputError(f"unknown world {args.world2!r} in {args.model2}")
+    pm, pn = _pointed_pair(args, m, n)
     max_depth = args.max_depth if args.max_depth is not None else int(os.environ.get("GKMC_MAX_DEPTH", 4))
     max_modal = (
         args.max_modal_depth
         if args.max_modal_depth is not None
         else int(os.environ.get("GKMC_MAX_MODAL_DEPTH", max_depth))
     )
-    budget = EnumerationBudget(max_depth, max_modal, vocab, allow_xi=not args.no_xi)
-    separator = distinguish(PointedModel(m, args.world1), PointedModel(n, args.world2), budget)
+    separator = distinguish(pm, pn, EnumerationBudget(max_depth, max_modal, vocab, allow_xi=not args.no_xi))
     if separator is None:
-        out.emit(
-            {"separator": None, "exhausted": True},
-            "no separator within budget (not a bisimilarity proof)",
-        )
-        return UNKNOWN
+        return UNKNOWN, {"separator": None, "exhausted": True}, "no separator within budget (not a bisimilarity proof)"
     text = format_formula(separator)
-    out.emit({"separator": text}, text)
-    return OK
+    return OK, {"separator": text}, text
 
 
-def _cmd_gen(args, out) -> int:
+def _cmd_gen(args):
     spec = GenSpec(
         seed=args.seed,
         max_worlds=args.max_worlds,
@@ -234,23 +201,17 @@ def _cmd_gen(args, out) -> int:
         closure=args.closure,
         edge_density=args.density,
     )
-    text = dump_model(gen_model(spec))
+    m = gen_model(spec)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-        out.emit({"written": args.output}, f"wrote {args.output}")
-    elif out.as_json:
-        print(json.dumps(json.loads(text), sort_keys=True, separators=(",", ":")))
-    else:
-        print(text, end="")
-    return OK
+            handle.write(dump_model(m))
+        return OK, {"written": args.output}, f"wrote {args.output}"
+    return OK, to_document(m), dump_model(m).rstrip("\n")
 
 
-def _cmd_fmt(args, out) -> int:
-    formula = parse(args.sentence, vocab=None)
-    text = format_formula(formula)
-    out.emit({"formula": text}, text)
-    return OK
+def _cmd_fmt(args):
+    text = format_formula(parse(args.sentence, vocab=None))
+    return OK, {"formula": text}, text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -314,22 +275,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    out = _Output(args.json)
+
+    def report(code, payload, text) -> int:
+        print(json.dumps(payload, sort_keys=True, separators=(",", ":")) if args.json else text)
+        return code
+
+    # Printing stays inside the try: a result stdout cannot encode is an
+    # input error, as any other ValueError.
     try:
-        return args.func(args, out)
-    except _Reported:
-        return INPUT_ERROR
-    except _InputError as exc:
-        out.emit({"error": "input", "message": str(exc)}, f"error: {exc}")
-        return INPUT_ERROR
-    except (ParseError, DocumentFormatError, NotASentenceError, ValueError) as exc:
-        out.emit({"error": "input", "message": str(exc)}, f"error: {exc}")
-        return INPUT_ERROR
+        return report(*args.func(args))
+    except ValueError as exc:
+        return report(INPUT_ERROR, {"error": "input", "message": str(exc)}, f"error: {exc}")
     except Exception as exc:  # a crash must not read as a verdict
         traceback.print_exc(file=sys.stderr)
         message = f"{type(exc).__name__}: {exc}"
-        out.emit({"error": "internal", "message": message}, f"internal error: {message}")
-        return INTERNAL
+        return report(INTERNAL, {"error": "internal", "message": message}, f"internal error: {message}")
 
 
 def entry():

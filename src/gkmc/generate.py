@@ -304,8 +304,6 @@ def gen_sentence(seed: int, vocab: Vocabulary, max_connectives: int = 6, allow_x
         var_terms = list(mv)
         if var_terms and (not terms or rng.chance(0.5)):
             return QueryVar(body, rng.choice(var_terms))
-        if terms:
-            return QueryConst(body, rng.choice(terms))
-        return QueryVar(body, rng.choice(var_terms))
+        return QueryConst(body, rng.choice(terms))
 
     return go(max_connectives, (), frozenset(), frozenset())

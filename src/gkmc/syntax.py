@@ -383,8 +383,6 @@ class _Parser:
                 return bot()
             return FormulaVar(tok.text)
         if tok.kind == "lident":
-            if tok.text in KEYWORDS:
-                raise GrammarError(f"unexpected keyword {tok.text!r}", tok.line, tok.col)
             self.advance()
             if self.vocab is not None and tok.text not in self.vocab.props:
                 raise UnknownNameError(f"unknown proposition {tok.text!r}", tok.line, tok.col)

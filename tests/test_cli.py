@@ -15,7 +15,7 @@ from gkmc.generate import GenSpec, dup_child, gen_model, gen_sentence
 from gkmc.model import PointedModel, dump_model, load_model, load_model_file
 from gkmc.syntax import Vocabulary, format_formula
 
-from conftest import fixture_path
+from conftest import fixture_path, load_script
 from input_corpus import mutated_documents
 
 
@@ -225,6 +225,32 @@ def test_bisim_with_oracle_agreement(capsys, tmp_path):
     path.write_text(json.dumps(doc))
     code, _ = run(capsys, "bisim", str(path), "w0", str(path), "w0", "--oracle")
     assert code == 0
+
+
+def test_bisim_oracle_beyond_its_size_guard_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "wide.gkm.json"
+    path.write_text(json.dumps({"worlds": ["w0", "w1", "w2", "w3"]}))
+    code, out = run(capsys, "--json", "bisim", str(path), "w0", str(path), "w1", "--oracle")
+    assert code == 2
+    assert json.loads(out) == {"error": "input", "message": "oracle infeasible: world-pair count exceeds oracle guard (12)"}
+
+
+def test_bisim_oracle_disagreement_is_internal_not_a_verdict(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("gkmc.cli.brute_force_bisim", lambda *args, **kwargs: False)
+    path = tmp_path / "one.gkm.json"
+    path.write_text(json.dumps({"worlds": ["w0"], "valuation": {"p": ["w0"]}}))
+    code, out = run(capsys, "--json", "bisim", str(path), "w0", str(path), "w0", "--oracle")
+    assert code == 4
+    assert json.loads(out) == {"error": "oracle-disagreement", "search": True, "oracle": False}
+    code, out = run(capsys, "bisim", str(path), "w0", str(path), "w0", "--oracle")
+    assert (code, out) == (4, "ORACLE DISAGREEMENT: search says True, brute force says False\n")
+
+
+def test_bisim_unknown_world_in_the_second_model(capsys):
+    fixture = fixture_path("de_dicto.gkm.json")
+    code, out = run(capsys, "--json", "bisim", fixture, "s0", fixture, "nowhere")
+    assert code == 2
+    assert json.loads(out) == {"error": "input", "message": f"unknown world 'nowhere' in {fixture}"}
 
 
 def test_bisim_budget_exhausted_is_unknown(capsys):
@@ -545,3 +571,14 @@ def test_cli_exit_code_contract_on_generated_invocations(tiny_models, corpus_mod
     if code == 1:
         payload = json.loads(out.getvalue())
         assert any(payload.get(key) is False for key in ("holds", "bisimilar", "valid")), (argv, payload)
+
+
+# --- pinned output ------------------------------------------------------------
+
+
+def test_cli_digest_is_pinned():
+    # Exit codes, stdout and written files of about a thousand invocations
+    # of every subcommand, pinned in the script; a change here changes what
+    # a user of the command line sees.
+    script = load_script("cli_digest")
+    assert script.digest() == script.PINNED

@@ -94,6 +94,21 @@ def test_gen_model_closure_flag():
         assert (w, w) in m.relation
 
 
+@pytest.mark.parametrize(
+    "fields,message",
+    [
+        ({"closure": "transitive"}, "unknown closure flag 'transitive'"),
+        ({"max_worlds": 0}, "max_worlds must be at least 1"),
+        ({"constant_count": -1}, "constant_count must be at least 0"),
+        ({"edge_density": float("nan")}, "edge density nan is not in"),
+    ],
+    ids=["closure", "max_worlds", "constant_count", "edge_density-nan"],
+)
+def test_gen_model_rejects_an_invalid_spec(fields, message):
+    with pytest.raises(ValueError, match=message):
+        gen_model(GenSpec(seed=0, **fields))
+
+
 # --- mutations ----------------------------------------------------------
 
 
@@ -110,6 +125,13 @@ def test_dup_child_unknown_label():
     m = gen_model(GenSpec(seed=1, max_depth=0))
     with pytest.raises(ValueError):
         dup_child(m, "n0")
+
+
+def test_dup_child_twice_takes_the_next_fresh_label():
+    m = _first_with_child(0, max_worlds=3, max_children=1, max_depth=1)
+    twice = dup_child(dup_child(m, "n0"), "n0")
+    assert sorted(twice.children) == ["n0", "n0_dup", "n0_dup2"]
+    assert validate(twice).verdict
 
 
 def test_dup_child_valid_and_bisimilar_everywhere():

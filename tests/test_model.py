@@ -12,6 +12,7 @@ from gkmc.model import (
     dump_model,
     load_model,
     model_vocabulary,
+    PointedModel,
     parse_document,
     rt_closure,
     same_structure,
@@ -63,6 +64,11 @@ def _depth_by_recursion(m):
 def test_depth_matches_the_recursive_definition(seed):
     m = gen_model(GenSpec(seed=seed, max_worlds=4, max_children=3, max_depth=seed % 5))
     assert depth(m) == _depth_by_recursion(m)
+
+
+def test_pointed_model_at_an_unknown_world_is_refused(de_dicto):
+    with pytest.raises(ValueError, match="unknown world 'nowhere'"):
+        PointedModel(de_dicto, "nowhere")
 
 
 def test_model_vocabulary(de_dicto, deadlock):

@@ -248,6 +248,11 @@ def test_holds_at_unknown_world(de_dicto):
         holds_at(de_dicto, "zz", Top())
 
 
+def test_valuation_of_a_non_formula_is_a_type_error(de_dicto):
+    with pytest.raises(TypeError, match="not a formula"):
+        valuation(de_dicto, "p")
+
+
 def test_memoized_matches_unmemoized():
     for seed in range(80):
         m = gen_model(GenSpec(seed=seed, max_worlds=4, max_children=2, max_depth=2, prop_count=2))

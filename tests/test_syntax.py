@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from gkmc.model import load_model
 from gkmc.semantics import evaluate_sentence
 from gkmc.syntax import (
+    _BINDERS,
+    KEYWORDS,
     MAX_NESTING,
     And,
     Box,
@@ -150,6 +152,9 @@ def test_keywords_not_identifiers():
         parse("xi & p", VOCAB)
     with pytest.raises(GrammarError):
         parse("?[p] forall", VOCAB)
+    # The parser's atoms never see a keyword: every keyword is a binder,
+    # which `unary` reads first.
+    assert KEYWORDS == set(_BINDERS)
 
 
 # --- printing ----------------------------------------------------------
@@ -162,6 +167,11 @@ def test_print_top():
 def test_print_bot_special_case():
     assert format_formula(bot()) == "F"
     assert format_formula(Not(bot())) == "~F"
+
+
+def test_print_non_formula_is_a_type_error():
+    with pytest.raises(TypeError, match="not a formula"):
+        format_formula("p")
 
 
 def test_print_xi_forall_query():
