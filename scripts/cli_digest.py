@@ -3,8 +3,14 @@
 list of invocations, so two versions of the front end can be compared
 byte for byte:
 
-    python3 scripts/cli_digest.py            # the digest
-    python3 scripts/cli_digest.py --records  # one JSON line per invocation
+    python3 scripts/cli_digest.py
+
+To see which invocation changed a digest, diff the records of two
+versions:
+
+    python3 -c 'import cli_digest; print(*cli_digest.records(), sep=chr(10))'
+
+(run from `scripts/`).
 
 Each invocation runs `gkmc.cli.main` in process and adds its environment,
 argv, exit code, stdout and the bytes of each file it was asked to write
@@ -20,7 +26,6 @@ every `GKMC_*` variable unset, so the digest does not depend on where the
 checkout lives or on the caller's environment.  The Tier-1 suite checks
 `PINNED`."""
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -215,15 +220,5 @@ def digest() -> str:
     return h.hexdigest()
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--records", action="store_true", help="print each invocation's record instead of the digest")
-    args = parser.parse_args()
-    if args.records:
-        print("\n".join(records()))
-    else:
-        print(digest())
-
-
 if __name__ == "__main__":
-    main()
+    print(digest())
