@@ -5,7 +5,11 @@ Documents are `gen_model` models written as JSON and then mutated with
 `SplitMix64`: values replaced by junk, keys added, dropped, renamed or
 duplicated, nesting changed.  Each document hashes its
 `DocumentFormatError` message, or its violation triples and `dump_model`
-text.  A few models are built directly and hash through `validate` alone.
+text.  Models built without a document hash through `validate` alone: a
+few written by hand, and `gen_model` trees given one to three edits at
+any generation (worlds dropped or duplicated, names and entries replaced
+by junk, tracking entries removed or emptied, child labels emptied), so
+every violation tag is reached at the root and in a child.
 Sentences are `gen_sentence` texts with characters and words dropped,
 inserted or replaced; each hashes its `ParseError` class, message, line
 and column, or its `format_formula` text."""
@@ -13,6 +17,7 @@ and column, or its `format_formula` text."""
 import copy
 import hashlib
 import json
+from dataclasses import replace
 
 from gkmc.generate import GenSpec, SplitMix64, derive, gen_model, gen_sentence
 from gkmc.model import DocumentFormatError, GenealogicalModel, dump_model, parse_document, to_document, validate
@@ -158,6 +163,91 @@ def direct_models() -> list[GenealogicalModel]:
     ]
 
 
+_NAMES = ["", "zz", "s9", "n9", "1x", "forall", "P", "é"]
+
+
+def _nodes(m: GenealogicalModel, path=()) -> list:
+    """(child-label path, submodel) of every node of `m`, root first."""
+    out = [(path, m)]
+    for label, child in m.children.items():
+        out += _nodes(child, (*path, label))
+    return out
+
+
+def _put(m: GenealogicalModel, path, node: GenealogicalModel) -> GenealogicalModel:
+    """`m` with the submodel at `path` replaced by `node`."""
+    if not path:
+        return node
+    sub = _put(m.children[path[0]], path[1:], node)
+    return replace(m, children={label: sub if label == path[0] else child for label, child in m.children.items()})
+
+
+def _rekey(table: dict, old, new) -> dict:
+    return {new if key == old else key: value for key, value in table.items()}
+
+
+def _edit(m: GenealogicalModel, rng) -> GenealogicalModel:
+    """`m` after one random edit among those it has something to act on."""
+    pairs = sorted(m.relation)
+    rows = [(world, key) for world, row in m.assignment.items() for key in row]
+    entries = [(world, label) for world, row in m.tracking.items() for label in row]
+    able = [m.worlds, m.worlds, pairs, m.valuation, m.valuation, rows, rows, True, entries, entries, entries, m.children]
+    op = rng.choice([op for op, ok in enumerate(able) if ok])
+    junk = rng.choice(_NAMES)
+    if op == 0:  # a world dropped
+        k = rng.below(len(m.worlds))
+        return replace(m, worlds=m.worlds[:k] + m.worlds[k + 1:])
+    if op == 1:  # a world duplicated
+        return replace(m, worlds=m.worlds + (rng.choice(m.worlds),))
+    if op == 2:  # a relation endpoint renamed
+        a, b = pair = rng.choice(pairs)
+        return replace(m, relation=m.relation - {pair} | {(junk, b) if rng.chance(0.5) else (a, junk)})
+    if op == 3:  # a proposition renamed
+        return replace(m, valuation=_rekey(m.valuation, rng.choice(sorted(m.valuation)), junk))
+    if op == 4:  # a valuation world replaced
+        prop = rng.choice(sorted(m.valuation))
+        ws = sorted(m.valuation[prop])
+        gone = {rng.choice(ws)} if ws else set()
+        return replace(m, valuation={**m.valuation, prop: m.valuation[prop] - gone | {junk}})
+    if op in (5, 6):  # an assignment constant or label replaced
+        world, const = rng.choice(rows)
+        row = m.assignment[world]
+        row = _rekey(row, const, junk) if op == 5 else {**row, const: junk}
+        return replace(m, assignment={**m.assignment, world: row})
+    if op == 7:  # an assignment row added, most often for an unknown world
+        return replace(m, assignment={**m.assignment, junk: {rng.choice(_NAMES): rng.choice([*m.children, junk])}})
+    if op < 11:  # a tracking entry removed, set to None or pointed elsewhere
+        world, label = rng.choice(entries)
+        row = dict(m.tracking[world])
+        if op == 8:
+            del row[label]
+        else:
+            row[label] = None if op == 9 else junk
+        return replace(m, tracking={**m.tracking, world: row})
+    return replace(m, children=_rekey(m.children, rng.choice(list(m.children)), ""))
+
+
+def mutated_models(count: int, seed: int) -> list[GenealogicalModel]:
+    """`count` generated model trees, each after one to three edits at any generation."""
+    out = []
+    for k in range(count):
+        rng = SplitMix64(derive(seed, "tree", k))
+        spec = GenSpec(
+            seed=derive(seed, "tree-model", k),
+            max_worlds=1 + rng.below(4),
+            max_children=rng.below(3),
+            max_depth=1 + rng.below(2),
+            prop_count=rng.below(3),
+            constant_count=rng.below(3),
+        )
+        m = gen_model(spec)
+        for _ in range(1 + rng.below(3)):
+            path, node = rng.choice(_nodes(m))
+            m = _put(m, path, _edit(node, rng))
+        out.append(m)
+    return out
+
+
 _SENTENCE_VOCAB = Vocabulary.of(props=["p", "q"], constants=["c"])
 _INSERTS = ["(", ")", "~", "[", "]", "[]", "<>", "?[", "#", "#c", ".", "@", "-", "->", "&", "|", "\n", " ",
             "\t", "x", "X", "P", "p", "zz", "forall", "exists x.", "xi", "T", "F", "é", "0"]
@@ -194,7 +284,7 @@ def digest(count: int = 1500, seed: int = 0) -> str:
     h = hashlib.sha256()
     for text in mutated_documents(count, seed):
         h.update(document_outcome(text).encode())
-    for m in direct_models():
+    for m in direct_models() + mutated_models(500, seed):
         h.update(model_outcome(m).encode())
     for text, use_vocab in mutated_sentences(count, seed):
         h.update(sentence_outcome(text, use_vocab).encode())

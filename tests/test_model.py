@@ -258,4 +258,13 @@ def test_input_layer_answers_are_pinned():
     # line or column changes it.
     from input_corpus import digest
 
-    assert digest() == "7115d0c21b4ee98f9c91026bd9a8e39de129a980ed1204360173a0fda4033602"
+    assert digest() == "b7c6d66f0e12377340c4e9f70082889a670c55b75b88c511b0d08a556ef8eb20"
+
+
+def test_mutated_models_reach_every_tag_at_the_root_and_in_a_child():
+    from input_corpus import mutated_models
+
+    tags = {"S-nonempty", "S-duplicate", "R-endpoints", "V-prop-name", "V-subset", "N-label", "I-world",
+            "I-const-name", "I-range", "T-world", "T-label", "T-range", "T-total"}
+    found = {(v.tag, bool(v.path)) for m in mutated_models(500, 0) for v in validate(m).violations}
+    assert found == {(tag, in_child) for tag in tags for in_child in (False, True)}
