@@ -99,7 +99,7 @@ def _cmd_validate(args):
     diagnostics = validate(m)
     if diagnostics.verdict:
         return OK, {"valid": True}, "valid"
-    lines = [f"{v.tag} at {v.path or '<root>'}: {v.message}" for v in diagnostics.violations]
+    lines = list(map(str, diagnostics.violations))
     return FAIL, {"valid": False, "violations": lines}, "invalid:\n  " + "\n  ".join(lines)
 
 

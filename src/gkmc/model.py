@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 
 from .syntax import Vocabulary, is_valid_name
 
@@ -62,6 +61,9 @@ class ModelViolation:
     path: str
     message: str
 
+    def __str__(self):
+        return f"{self.tag} at {self.path or '<root>'}: {self.message}"
+
 
 @dataclass(frozen=True)
 class ModelDiagnostics:
@@ -75,8 +77,7 @@ class DocumentFormatError(ValueError):
 
 class ModelInvalidError(ValueError):
     def __init__(self, diagnostics: ModelDiagnostics):
-        lines = "; ".join(f"{v.tag} at {v.path or '<root>'}: {v.message}" for v in diagnostics.violations)
-        super().__init__(f"invalid model: {lines}")
+        super().__init__("invalid model: " + "; ".join(map(str, diagnostics.violations)))
         self.diagnostics = diagnostics
 
 
@@ -206,70 +207,58 @@ def parse_document(text: str) -> GenealogicalModel:
 def validate(m: GenealogicalModel) -> ModelDiagnostics:
     """Check every structural invariant, recursively at every generation."""
     violations: list[ModelViolation] = []
-    _validate_into(m, "", violations, set())
+    _validate_into(m, "", violations)
     return ModelDiagnostics(not violations, tuple(violations))
 
 
-def _validate_into(m: GenealogicalModel, path: str, out: list[ModelViolation], good: set):
-    # Each rule tests its whole table at once and, only when that fails,
-    # reports the offending entries or rows in sorted order.  `good` holds
-    # the names `is_valid_name` accepted earlier in this `validate` call.
+def _validate_into(m: GenealogicalModel, path: str, out: list[ModelViolation]):
+    # Each rule is one scan of its table, appending (rule, sort key, tag,
+    # message) per offender.  A model with offenders sorts them once by
+    # rule and key; the sort is stable, so equal keys keep scan order.
+    found = []
     worlds = set(m.worlds)
     if not m.worlds:
-        out.append(ModelViolation("S-nonempty", path, "worlds must be non-empty"))
+        found.append((0, (), "S-nonempty", "worlds must be non-empty"))
     if len(worlds) != len(m.worlds):
-        out.append(ModelViolation("S-duplicate", path, "world names must be unique"))
-    if not worlds.issuperset(chain.from_iterable(m.relation)):
-        for a, b in sorted(pair for pair in m.relation if not worlds.issuperset(pair)):
-            out.append(ModelViolation("R-endpoints", path, f"relation pair ({a!r}, {b!r}) mentions unknown world"))
-    if not (good.issuperset(m.valuation) and worlds.issuperset(chain.from_iterable(m.valuation.values()))):
-        good.update(prop for prop in m.valuation if is_valid_name(prop))
-        for prop in sorted(m.valuation.keys() - good | {prop for prop, ws in m.valuation.items() if not worlds.issuperset(ws)}):
-            if prop not in good:
-                out.append(ModelViolation("V-prop-name", path, f"invalid proposition name {prop!r}"))
-            for w in sorted(w for w in m.valuation[prop] if w not in worlds):
-                out.append(ModelViolation("V-subset", path, f"valuation of {prop!r} mentions unknown world {w!r}"))
+        found.append((1, (), "S-duplicate", "world names must be unique"))
+    for a, b in m.relation:
+        if a not in worlds or b not in worlds:
+            found.append((2, (a, b), "R-endpoints", f"relation pair ({a!r}, {b!r}) mentions unknown world"))
+    for prop, ws in m.valuation.items():
+        if not is_valid_name(prop):
+            found.append((3, (prop,), "V-prop-name", f"invalid proposition name {prop!r}"))
+        for w in ws:
+            if w not in worlds:
+                found.append((3, (prop, w), "V-subset", f"valuation of {prop!r} mentions unknown world {w!r}"))
     for label in m.children:
         if not label:
-            out.append(ModelViolation("N-label", path, "child labels must be non-empty"))
-    rows = m.assignment.values()
-    if not (
-        good.issuperset(chain.from_iterable(rows))
-        and worlds.issuperset(m.assignment)
-        and all(map(m.children.__contains__, chain.from_iterable(map(dict.values, rows))))
-    ):
-        good.update(const for const in chain.from_iterable(rows) if is_valid_name(const))
-        for world in sorted(
-            world for world, row in m.assignment.items()
-            if world not in worlds or not good.issuperset(row) or not m.children.keys() >= set(row.values())
-        ):
-            if world not in worlds:
-                out.append(ModelViolation("I-world", path, f"assignment row for unknown world {world!r}"))
-            for const, label in sorted(m.assignment[world].items()):
-                if const not in good:
-                    out.append(ModelViolation("I-const-name", path, f"invalid constant name {const!r}"))
-                if label not in m.children:
-                    out.append(ModelViolation("I-range", path, f"constant {const!r} at world {world!r} points to unknown child {label!r}"))
-    if m.tracking:
-        entries = {(label, w) for label, child in m.children.items() for w in child.worlds}
-        if not (worlds.issuperset(m.tracking) and entries.issuperset(chain.from_iterable(map(dict.items, m.tracking.values())))):
-            for world in sorted(world for world, row in m.tracking.items() if world not in worlds or not entries.issuperset(row.items())):
-                if world not in worlds:
-                    out.append(ModelViolation("T-world", path, f"tracking row for unknown world {world!r}"))
-                for label, w in sorted(m.tracking[world].items()):
-                    if label not in m.children:
-                        out.append(ModelViolation("T-label", path, f"tracking at world {world!r} mentions unknown child {label!r}"))
-                    elif (label, w) not in entries:
-                        out.append(ModelViolation("T-range", path, f"tracking of child {label!r} at world {world!r} is not a world of that child"))
-    if m.children:
-        for world in m.worlds:
-            row = m.tracking.get(world, {})
-            if not row.keys() >= m.children.keys() or None in row.values():
-                for label in m.children:
-                    if row.get(label) is None:
-                        out.append(ModelViolation("T-total", path, f"tracking not total: no entry for world {world!r}, child {label!r}"))
+            found.append((4, (), "N-label", "child labels must be non-empty"))
+    for world, row in m.assignment.items():
+        if world not in worlds:
+            found.append((5, (world,), "I-world", f"assignment row for unknown world {world!r}"))
+        for const, label in row.items():
+            if not is_valid_name(const):
+                found.append((5, (world, const, 0), "I-const-name", f"invalid constant name {const!r}"))
+            if label not in m.children:
+                found.append((5, (world, const, 1), "I-range", f"constant {const!r} at world {world!r} points to unknown child {label!r}"))
+    for world, row in m.tracking.items():
+        if world not in worlds:
+            found.append((6, (world,), "T-world", f"tracking row for unknown world {world!r}"))
+        for label, w in row.items():
+            if label not in m.children:
+                found.append((6, (world, label), "T-label", f"tracking at world {world!r} mentions unknown child {label!r}"))
+            elif w not in m.children[label].worlds:
+                found.append((6, (world, label), "T-range", f"tracking of child {label!r} at world {world!r} is not a world of that child"))
+    for world in m.worlds:
+        row = m.tracking.get(world, {})
+        for label in m.children:
+            if row.get(label) is None:
+                found.append((7, (), "T-total", f"tracking not total: no entry for world {world!r}, child {label!r}"))
+    if found:
+        found.sort(key=lambda v: v[:2])
+        out.extend(ModelViolation(tag, path, message) for _, _, tag, message in found)
     for label, child in m.children.items():
-        _validate_into(child, _join(path, f"children.{label}"), out, good)
+        _validate_into(child, _join(path, f"children.{label}"), out)
 
 
 def load_model(text: str) -> GenealogicalModel:
