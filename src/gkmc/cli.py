@@ -8,21 +8,20 @@ explicit unknown, never conflated with 0 or 1); 4 internal error (an
 unexpected exception, a witness failing its check or an oracle
 disagreement; never a verdict).  With `--json` every result is a single
 JSON line with sorted keys, bit-stable across runs; otherwise output is
-human text.  Environment variables GKMC_BISIM_BUDGET, GKMC_MAX_DEPTH and
-GKMC_MAX_MODAL_DEPTH set default budget caps.
+human text.
 
 Each subcommand returns its result as `(exit code, JSON payload, text)`
 and prints nothing.  `main` alone prints a result and alone maps an
 exception to an exit code: a `ValueError`, which every input error is,
 gives 2 and `{"error": "input"}`; anything else gives 4 and a traceback
-on stderr.
+on stderr.  An error report escapes what stdout cannot encode, so it
+always prints.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import traceback
 
@@ -138,9 +137,8 @@ def _cmd_bisim(args):
         vocab = model_vocabulary(m, n)
     pm, pn = _pointed_pair(args, m, n)
 
-    budget = args.budget if args.budget is not None else int(os.environ.get("GKMC_BISIM_BUDGET", DEFAULT_BUDGET))
     try:
-        verdict = bisimilar(pm, pn, vocab=vocab, budget=budget)
+        verdict = bisimilar(pm, pn, vocab=vocab, budget=args.budget)
     except BudgetExceededError as exc:
         return UNKNOWN, {"bisimilar": None, "reason": str(exc)}, f"unknown: {exc}"
 
@@ -177,13 +175,8 @@ def _cmd_distinguish(args):
     n = _load_valid_model(args.model2)
     vocab = model_vocabulary(m, n)
     pm, pn = _pointed_pair(args, m, n)
-    max_depth = args.max_depth if args.max_depth is not None else int(os.environ.get("GKMC_MAX_DEPTH", 4))
-    max_modal = (
-        args.max_modal_depth
-        if args.max_modal_depth is not None
-        else int(os.environ.get("GKMC_MAX_MODAL_DEPTH", max_depth))
-    )
-    separator = distinguish(pm, pn, EnumerationBudget(max_depth, max_modal, vocab, allow_xi=not args.no_xi))
+    max_modal = args.max_depth if args.max_modal_depth is None else args.max_modal_depth
+    separator = distinguish(pm, pn, EnumerationBudget(args.max_depth, max_modal, vocab, allow_xi=not args.no_xi))
     if separator is None:
         return UNKNOWN, {"separator": None, "exhausted": True}, "no separator within budget (not a bisimilarity proof)"
     text = format_formula(separator)
@@ -241,7 +234,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", help="write the witness JSON here when bisimilar")
     p.add_argument("--oracle", action="store_true", help="cross-check with the brute-force oracle (tiny inputs)")
     p.add_argument("--vocab", help="vocabulary file; models mentioning names outside it are rejected")
-    p.add_argument("--budget", type=int, help="search node budget")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node budget")
     p.set_defaults(func=_cmd_bisim)
 
     p = sub.add_parser("distinguish", help="search for a sentence separating two pointed models")
@@ -249,8 +242,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("world1")
     p.add_argument("model2")
     p.add_argument("world2")
-    p.add_argument("--max-depth", type=int, help="connective budget for enumeration")
-    p.add_argument("--max-modal-depth", type=int, help="modal nesting budget")
+    p.add_argument("--max-depth", type=int, default=4, help="connective budget for enumeration")
+    p.add_argument("--max-modal-depth", type=int, help="modal nesting budget (default: --max-depth)")
     p.add_argument("--no-xi", action="store_true", help="exclude xi binders from the search")
     p.set_defaults(func=_cmd_distinguish)
 
@@ -273,6 +266,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _printable(text: str) -> str:
+    """`text` with each character stdout cannot encode written as a backslash escape."""
+    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
+    return text.encode(encoding, "backslashreplace").decode(encoding)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
@@ -280,16 +279,16 @@ def main(argv=None) -> int:
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")) if args.json else text)
         return code
 
-    # Printing stays inside the try: a result stdout cannot encode is an
-    # input error, as any other ValueError.
+    # Printing a result stays inside the try: a result stdout cannot encode
+    # is an input error, as any other ValueError.
     try:
         return report(*args.func(args))
     except ValueError as exc:
-        return report(INPUT_ERROR, {"error": "input", "message": str(exc)}, f"error: {exc}")
+        return report(INPUT_ERROR, {"error": "input", "message": str(exc)}, _printable(f"error: {exc}"))
     except Exception as exc:  # a crash must not read as a verdict
         traceback.print_exc(file=sys.stderr)
         message = f"{type(exc).__name__}: {exc}"
-        return report(INTERNAL, {"error": "internal", "message": message}, f"internal error: {message}")
+        return report(INTERNAL, {"error": "internal", "message": message}, _printable(f"internal error: {message}"))
 
 
 def entry():

@@ -22,15 +22,18 @@ Documents are UTF-8 JSON with extension `.gkm.json`:
 Unknown fields are rejected.  When a node's closure flag is
 "reflexive-transitive" its relation is replaced by the reflexive
 transitive closure before validation; the flag itself is not stored.
-A document nested deeper than the JSON decoder's recursion limit (about
-490 generations of children) is a format error, as is invalid JSON.
+A document whose arrays and objects nest more than `MAX_DOCUMENT_DEPTH`
+(970) levels deep (a chain of about 480 generations of children) is a
+format error on every Python, as is invalid JSON.
 Loaded models are immutable and may be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .syntax import Vocabulary, is_valid_name
 
@@ -193,14 +196,26 @@ def _join(path: str, piece: str) -> str:
     return f"{path}.{piece}" if path else piece
 
 
+# Below every supported JSON decoder's limit (988 levels from the CLI on 3.10/3.11).
+MAX_DOCUMENT_DEPTH = 970
+_TOO_DEEP = "document nested too deeply for the JSON decoder"
+_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"', re.S)
+
+
 def parse_document(text: str) -> GenealogicalModel:
     """Structural parse only; use `validate` (or `load_model`) afterwards."""
+    # Each level opens with "[" or "{", so their count bounds the depth;
+    # only a document with more of them is measured, its strings taken out.
+    if text.count("[") + text.count("{") > MAX_DOCUMENT_DEPTH:
+        steps = (1 if b in "[{" else -1 for b in re.findall(r"[][{}]", _STRING.sub("", text)))
+        if max(accumulate(steps), default=0) > MAX_DOCUMENT_DEPTH:
+            raise DocumentFormatError(_TOO_DEEP)
     try:
         obj = json.loads(text, object_pairs_hook=_reject_duplicate_keys)
     except json.JSONDecodeError as exc:
         raise DocumentFormatError(f"not valid JSON: {exc}") from exc
-    except RecursionError as exc:  # the decoder recurses once per nested array or object
-        raise DocumentFormatError("document nested too deeply for the JSON decoder") from exc
+    except RecursionError as exc:  # the decoder recurses once per level; a deep caller stack lowers its limit
+        raise DocumentFormatError(_TOO_DEEP) from exc
     return _build(obj, "")
 
 
@@ -288,18 +303,9 @@ def to_document(m: GenealogicalModel) -> dict:
         }
     if m.children:
         doc["children"] = {label: to_document(child) for label, child in m.children.items()}
-    if m.assignment:
-        doc["assignment"] = {
-            world: dict(sorted(m.assignment[world].items()))
-            for world in m.worlds
-            if m.assignment.get(world)
-        }
-    if m.tracking:
-        doc["tracking"] = {
-            world: dict(sorted(m.tracking[world].items()))
-            for world in m.worlds
-            if m.tracking.get(world)
-        }
+    for key, table in (("assignment", m.assignment), ("tracking", m.tracking)):
+        if table:
+            doc[key] = {world: dict(sorted(table[world].items())) for world in m.worlds if table.get(world)}
     return doc
 
 

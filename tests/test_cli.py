@@ -265,21 +265,8 @@ def test_bisim_budget_exhausted_is_unknown(capsys):
     assert "unknown" in out
 
 
-def test_bisim_env_budget(capsys, monkeypatch):
-    monkeypatch.setenv("GKMC_BISIM_BUDGET", "0")
-    code, _ = run(
-        capsys,
-        "bisim",
-        fixture_path("de_dicto.gkm.json"), "s0",
-        fixture_path("de_dicto.gkm.json"), "s0",
-    )
-    assert code == 3
-
-
-@pytest.mark.parametrize("flags,env", [(["--budget", "-1"], None), ([], "-1")], ids=["--budget", "GKMC_BISIM_BUDGET"])
-def test_bisim_negative_budget_is_an_input_error(capsys, monkeypatch, flags, env):
-    if env is not None:
-        monkeypatch.setenv("GKMC_BISIM_BUDGET", env)
+@pytest.mark.parametrize("flags", [["--budget", "-1"]], ids=["--budget"])
+def test_bisim_negative_budget_is_an_input_error(capsys, flags):
     fixture = fixture_path("de_dicto.gkm.json")
     code, out = run(capsys, "--json", "bisim", fixture, "s0", fixture, "s0", *flags)
     assert code == 2
@@ -326,13 +313,11 @@ def test_distinguish_identical_exhausts(capsys):
 
 
 @pytest.mark.parametrize(
-    "flags,env",
-    [(["--max-depth", "-2"], None), (["--max-depth", "2", "--max-modal-depth", "-1"], None), ([], "-3")],
-    ids=["max-depth", "max-modal-depth", "GKMC_MAX_DEPTH"],
+    "flags",
+    [["--max-depth", "-2"], ["--max-depth", "2", "--max-modal-depth", "-1"]],
+    ids=["max-depth", "max-modal-depth"],
 )
-def test_distinguish_negative_budget_is_an_input_error(capsys, monkeypatch, flags, env):
-    if env is not None:
-        monkeypatch.setenv("GKMC_MAX_DEPTH", env)
+def test_distinguish_negative_budget_is_an_input_error(capsys, flags):
     fixture = fixture_path("de_dicto.gkm.json")
     code, out = run(capsys, "--json", "distinguish", fixture, "s0", fixture, "s0", *flags)
     assert code == 2
@@ -371,6 +356,21 @@ def test_fmt_canonicalizes(capsys):
 def test_fmt_parse_error(capsys):
     code, _ = run(capsys, "fmt", "p & & q")
     assert code == 2
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_input_error_report_prints_on_an_ascii_stdout(flags):
+    # The parse error names a character an ASCII stdout cannot encode;
+    # the report escapes it rather than failing with exit 1 ("fails").
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = {
+        **os.environ,
+        "PYTHONIOENCODING": "ascii",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    done = subprocess.run([sys.executable, "-m", "gkmc.cli", *flags, "fmt", "pé"], capture_output=True, env=env)
+    assert done.returncode == 2
+    assert b"unexpected character '\\xe9'" in done.stdout or b"unexpected character '\\u00e9'" in done.stdout
 
 
 @pytest.mark.parametrize(
