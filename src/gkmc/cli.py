@@ -268,8 +268,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _printable(text: str) -> str:
     """`text` with each character stdout cannot encode written as a backslash escape."""
-    encoding = getattr(sys.stdout, "encoding", None) or "utf-8"
-    return text.encode(encoding, "backslashreplace").decode(encoding)
+    encoding = getattr(sys.stdout, "encoding", None)
+    return text.encode(encoding, "backslashreplace").decode(encoding) if encoding else text
 
 
 def main(argv=None) -> int:

@@ -199,7 +199,6 @@ def _join(path: str, piece: str) -> str:
 # Below every supported JSON decoder's limit (988 levels from the CLI on 3.10/3.11).
 MAX_DOCUMENT_DEPTH = 970
 _TOO_DEEP = "document nested too deeply for the JSON decoder"
-_STRING = re.compile(r'"[^"\\]*(?:\\.[^"\\]*)*"', re.S)
 
 
 def parse_document(text: str) -> GenealogicalModel:
@@ -207,7 +206,8 @@ def parse_document(text: str) -> GenealogicalModel:
     # Each level opens with "[" or "{", so their count bounds the depth;
     # only a document with more of them is measured, its strings taken out.
     if text.count("[") + text.count("{") > MAX_DOCUMENT_DEPTH:
-        steps = (1 if b in "[{" else -1 for b in re.findall(r"[][{}]", _STRING.sub("", text)))
+        outside = re.sub(r'"[^"\\]*(?:\\.[^"\\]*)*"', "", text)
+        steps = (1 if b in "[{" else -1 for b in re.findall(r"[][{}]", outside))
         if max(accumulate(steps), default=0) > MAX_DOCUMENT_DEPTH:
             raise DocumentFormatError(_TOO_DEEP)
     try:

@@ -1,10 +1,14 @@
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gkmc.generate import GenSpec, gen_model
 from gkmc.model import (
+    MAX_DOCUMENT_DEPTH,
     DocumentFormatError,
     GenealogicalModel,
     ModelInvalidError,
@@ -113,6 +117,29 @@ def test_bad_closure_flag():
 def test_missing_worlds():
     with pytest.raises(DocumentFormatError):
         parse_document('{"relation": []}')
+
+
+def test_brackets_inside_strings_are_not_nesting():
+    name = "[{" * MAX_DOCUMENT_DEPTH + '\\"[' + "\\"
+    assert parse_document(json.dumps({"worlds": [name]})).worlds == (name,)
+
+
+def test_depth_limit_is_exact():
+    # In a fresh process: the decoder's own limit counts the frames
+    # already on the stack, and pytest's are many.
+    script = """if True:
+        from gkmc.model import MAX_DOCUMENT_DEPTH, DocumentFormatError, parse_document
+        for levels in (MAX_DOCUMENT_DEPTH, MAX_DOCUMENT_DEPTH + 1):
+            text = '{"worlds": ["s"], "valuation": {"p": ' + "[" * (levels - 2) + "]" * (levels - 2) + "}}"
+            try:
+                parse_document(text)
+            except DocumentFormatError as exc:
+                print(exc)
+    """
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=src)
+    # At the limit the document is decoded, and `valuation.p` refused.
+    assert done.stdout.splitlines() == ["valuation.p: must be an array of worlds", "document nested too deeply for the JSON decoder"]
 
 
 # --- invariant violations ----------------------------------------------
