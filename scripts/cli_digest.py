@@ -43,7 +43,7 @@ from gkmc.generate import GenSpec, dup_child, gen_model
 from gkmc.model import dump_model
 from run_examples import CORPUS
 
-PINNED = "58c507398c5217aa16abe1b5af756a9519cc3e09b96260f7576fcb79962152b9"
+PINNED = "dbee0928dddfb1d2a6070cd4025dd46ed786e84a721c3658e3789e3dacb92998"
 
 FIXTURES = {
     "de_dicto.gkm.json": ("s0", "s1", "s2"),

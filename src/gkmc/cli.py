@@ -38,8 +38,10 @@ from .distinguish import EnumerationBudget, distinguish
 from .generate import GenSpec, gen_model
 from .model import (
     DocumentFormatError,
+    ModelInvalidError,
     PointedModel,
     dump_model,
+    load_model,
     model_vocabulary,
     parse_document,
     to_document,
@@ -72,14 +74,10 @@ def _load_vocab(path) -> Vocabulary:
 
 
 def _load_valid_model(path):
-    m = parse_document(_read(path))
-    diagnostics = validate(m)
-    if not diagnostics.verdict:
-        raise ValueError(
-            f"invalid model {path}: "
-            + "; ".join(f"{v.tag} at {v.path or '<root>'}" for v in diagnostics.violations)
-        )
-    return m
+    try:
+        return load_model(_read(path))
+    except ModelInvalidError as exc:
+        raise ValueError(f"invalid model {path}: " + "; ".join(map(str, exc.diagnostics.violations)))
 
 
 def _pointed_pair(args, m, n):

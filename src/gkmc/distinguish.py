@@ -15,8 +15,9 @@ power: conjunctions are flattened chains with strictly increasing
 operands, double negation and negated `T`/`F` are dropped, `<>` is not
 applied to a negation (`~[]` covers it), `exists` bodies are not
 negations (`~forall` covers it), and a `xi` binder must use its
-variable.  Every emitted formula passes the sentence check; duplicates
-after expansion to primitives are removed.
+variable.  Stream members are sentences by construction, and Tier-1
+tests check that at several settings; duplicates after expansion to
+primitives are removed.
 
 The stream of a setting (modal depth, vocabulary, `xi` on or off) at
 cost c is a prefix of its stream at cost c+1, so it is built once, a
@@ -63,7 +64,6 @@ from .syntax import (
     Vocabulary,
     Xi,
     bot,
-    check_sentence,
     diamond,
     exists,
     format_formula,
@@ -112,18 +112,35 @@ _Ctx = tuple[tuple[str, ...], frozenset, frozenset]
 _ROOT: _Ctx = ((), frozenset(), frozenset())
 
 
-def _rightmost_operand(f: Formula) -> Formula:
-    return f.right if isinstance(f, And) else f
+class _Stream:
+    """The sentences of one setting in stream order: `sentences[:ends[c]]`
+    is the stream at connective cost `c`."""
 
-
-class _Enumerator:
-    def __init__(self, vocab: Vocabulary, allow_xi: bool):
+    def __init__(self, modal: int, vocab: Vocabulary, allow_xi: bool):
+        self.key = (modal, vocab, allow_xi)
         self.allow_xi = allow_xi
         self.props = sorted(vocab.props)
         self.consts = sorted(vocab.constants)
         self.cache: dict[tuple, tuple[Formula, ...]] = {}
         # Formula -> (cost it was first built at, canonical text).
         self.sort_key: dict[Formula, tuple[int, str]] = {}
+        self.sentences: list[Formula] = []
+        self.ends: list[int] = []
+        self.seen: set[Formula] = set()
+
+    def end(self, cost: int) -> int:
+        """The stream's length at cost `cost`, grown to it first.  Each batch
+        is built aside and committed whole, so a failure part-way through
+        leaves the stream as it was."""
+        with _lock:
+            while len(self.ends) <= cost:
+                batch = set(self.exact(len(self.ends), self.key[0], _ROOT))
+                ordered = sorted(batch, key=lambda f: self.sort_key[f][1])
+                new = [f for f in ordered if f not in self.seen]
+                self.seen.update(new)
+                self.sentences.extend(new)
+                self.ends.append(len(self.sentences))
+            return self.ends[cost]
 
     def exact(self, cost: int, modal: int, ctx: _Ctx) -> tuple[Formula, ...]:
         """All canonical formulas built with exactly `cost` connectives and
@@ -158,7 +175,6 @@ class _Enumerator:
         if modal >= 1:
             for operand in self.exact(cost - 1, modal - 1, ctx):
                 yield Box(operand)
-            for operand in self.exact(cost - 1, modal - 1, ctx):
                 if not isinstance(operand, Not):
                     yield diamond(operand)
 
@@ -167,7 +183,7 @@ class _Enumerator:
             for left in self.exact(left_cost, modal, ctx):
                 if left in (_TOP, _BOT):
                     continue
-                left_anchor = self.sort_key[_rightmost_operand(left)]
+                left_anchor = self.sort_key[left.right if isinstance(left, And) else left]
                 for right in self.exact(right_cost, modal, ctx):
                     if right in (_TOP, _BOT) or isinstance(right, And):
                         continue
@@ -176,10 +192,8 @@ class _Enumerator:
                     yield And(left, right)
 
         var = _MODEL_VARS[min(len(mv), len(_MODEL_VARS) - 1)]
-        inner = (mv + (var,), ok, pending)
-        for body in self.exact(cost - 1, modal, inner):
+        for body in self.exact(cost - 1, modal, (mv + (var,), ok, pending)):
             yield Forall(var, body)
-        for body in self.exact(cost - 1, modal, inner):
             if not isinstance(body, Not):
                 yield exists(var, body)
 
@@ -198,32 +212,6 @@ class _Enumerator:
                 yield QueryConst(body, c)
 
 
-class _Stream:
-    """The sentences of one setting in stream order: `sentences[:ends[c]]`
-    is the stream at connective cost `c`."""
-
-    def __init__(self, modal: int, vocab: Vocabulary, allow_xi: bool):
-        self.key = (modal, vocab, allow_xi)
-        self.enum = _Enumerator(vocab, allow_xi)
-        self.sentences: list[Formula] = []
-        self.ends: list[int] = []
-        self.seen: set[Formula] = set()
-
-    def end(self, cost: int) -> int:
-        """The stream's length at cost `cost`, grown to it first.  Each batch
-        is built aside and committed whole, so a failure part-way through
-        leaves the stream as it was."""
-        with _lock:
-            while len(self.ends) <= cost:
-                batch = set(self.enum.exact(len(self.ends), self.key[0], _ROOT))
-                ordered = sorted(batch, key=lambda f: self.enum.sort_key[f][1])
-                new = [f for f in ordered if f not in self.seen and check_sentence(f).verdict]
-                self.seen.update(new)
-                self.sentences.extend(new)
-                self.ends.append(len(self.sentences))
-            return self.ends[cost]
-
-
 _lock = threading.Lock()
 _stream: Optional[_Stream] = None  # the most recent setting's stream
 
@@ -240,7 +228,7 @@ def _stream_for(budget: EnumerationBudget) -> _Stream:
 
 def enumerate_sentences(budget: EnumerationBudget) -> Iterator[Formula]:
     """All sentences in the canonical fragment, in size-then-text order,
-    duplicates removed; every yielded formula passes the sentence check."""
+    duplicates removed; they are sentences by construction."""
     stream = _stream_for(budget)
     start = 0
     for cost in range(budget.max_connective_depth + 1):
@@ -266,25 +254,18 @@ def distinguish(pm: PointedModel, pn: PointedModel, budget: EnumerationBudget) -
         # Read one batch, built first as the reader would build it on
         # entering it; islice stops without asking for the next sentence.
         end = stream.end(cost)
-        separator = _first_separator(pm, pn, itertools.islice(sentences, end - start), ev)
-        if separator is not None:
-            return separator
+        for sentence in itertools.islice(sentences, end - start):
+            sat_m = pm.world in ev.sentence_worlds(pm.model, sentence)
+            sat_n = pn.world in ev.sentence_worlds(pn.model, sentence)
+            if sat_m != sat_n:
+                fresh_m = holds_at(pm.model, pm.world, sentence, use_memo=False)
+                fresh_n = holds_at(pn.model, pn.world, sentence, use_memo=False)
+                if fresh_m == fresh_n:
+                    raise RuntimeError(
+                        f"memoized and direct evaluation disagree on {format_formula(sentence)!r}"
+                    )
+                return sentence
         start = end
-    return None
-
-
-def _first_separator(pm: PointedModel, pn: PointedModel, sentences: Iterator[Formula], ev: Evaluator) -> Optional[Formula]:
-    for sentence in sentences:
-        sat_m = pm.world in ev.sentence_worlds(pm.model, sentence)
-        sat_n = pn.world in ev.sentence_worlds(pn.model, sentence)
-        if sat_m != sat_n:
-            fresh_m = holds_at(pm.model, pm.world, sentence, use_memo=False)
-            fresh_n = holds_at(pn.model, pn.world, sentence, use_memo=False)
-            if fresh_m == fresh_n:
-                raise RuntimeError(
-                    f"memoized and direct evaluation disagree on {format_formula(sentence)!r}"
-                )
-            return sentence
     return None
 
 

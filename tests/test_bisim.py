@@ -310,6 +310,8 @@ _CLAUSE_CASES = {
     "constants": ("constants", lambda dd: _de_dicto_case(dd, lambda w: w, right=_without_constant_at_s1(dd))),
     "zig": ("zig", lambda dd: _one_step_case(_STEP, _STILL)),
     "zag": ("zag", lambda dd: _one_step_case(_STILL, _STEP)),
+    "z-unknown-world": ("pointed-pair", lambda dd: _de_dicto_case(
+        dd, lambda w: BisimWitness(z=w.z | {("s0", "ghost")}, h=w.h, child_witnesses=w.child_witnesses))),
 }
 
 

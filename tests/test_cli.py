@@ -60,6 +60,9 @@ def test_validate_tracking_gap(capsys, tmp_path):
     code, out = run(capsys, "validate", str(path))
     assert code == 1
     assert "T-total" in out
+    code, out = run(capsys, "eval", str(path), "T")
+    assert code == 2
+    assert str(path) in out and "T-total" in out and "tracking not total" in out
 
 
 _DEEP_VALUATION = '{"worlds": ["s"], "valuation": {"p": ' + "[" * 3000 + "]" * 3000 + "}}"

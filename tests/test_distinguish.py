@@ -102,22 +102,23 @@ def test_paused_reader_keeps_its_own_setting(empty_stream):
 
 
 def test_failed_batch_is_not_committed(empty_stream, monkeypatch):
-    real = _distinguish_module.check_sentence
-    checked = []
+    # Building a batch formats each formula it meets for the first time.
+    real = _distinguish_module.format_formula
+    formatted = []
 
     def fail_inside_cost_four(f):
         if len(_distinguish_module._stream.ends) == 4:
-            checked.append(f)
-            if len(checked) == 100:
+            formatted.append(f)
+            if len(formatted) == 100:
                 raise RuntimeError("injected")
         return real(f)
 
-    monkeypatch.setattr(_distinguish_module, "check_sentence", fail_inside_cost_four)
+    monkeypatch.setattr(_distinguish_module, "format_formula", fail_inside_cost_four)
     with pytest.raises(RuntimeError, match="injected"):
         list(enumerate_sentences(EnumerationBudget(4, 4, P_C)))
     stream = _distinguish_module._stream
     assert len(stream.sentences) == stream.ends[-1] == 603 and len(stream.ends) == 4
-    monkeypatch.setattr(_distinguish_module, "check_sentence", real)
+    monkeypatch.setattr(_distinguish_module, "format_formula", real)
     assert _pinned(_texts(enumerate_sentences(EnumerationBudget(4, 4, P_C))))
 
 
@@ -168,8 +169,22 @@ def test_stream_is_deterministic():
     assert first == second
 
 
-def test_stream_members_are_sentences():
-    budget = EnumerationBudget(3, 3, P_C, allow_xi=True)
+P2_C2 = Vocabulary.of(props=["p", "q"], constants=["c", "d"])
+
+
+# The stream keeps every formula its enumerator builds, so this is the
+# check that the enumerator builds sentences only.
+@pytest.mark.parametrize(
+    "budget",
+    [
+        EnumerationBudget(4, 4, P_C),
+        EnumerationBudget(4, 4, P_C, allow_xi=False),
+        EnumerationBudget(4, 4, P2_C2),
+        EnumerationBudget(5, 2, P_C),
+    ],
+    ids=["4-4", "4-4-no-xi", "4-4-two-props-two-consts", "5-2"],
+)
+def test_stream_members_are_sentences(budget):
     for f in enumerate_sentences(budget):
         assert check_sentence(f).verdict, format_formula(f)
 
@@ -333,6 +348,23 @@ def test_separators_do_not_depend_on_the_retained_stream(monkeypatch):
         cold.append(distinguish(pa, pb, budget))
     list(enumerate_sentences(EnumerationBudget(3, 2, P_ONLY, allow_xi=False)))
     assert [distinguish(pa, pb, budget) for pa, pb in pairs] == cold
+
+
+def test_a_hit_the_direct_evaluations_do_not_confirm_is_an_error(monkeypatch):
+    one = load_model('{"worlds": ["w0"], "valuation": {"p": ["w0"]}}')
+    none = load_model('{"worlds": ["w0"]}')
+    budget = EnumerationBudget(2, 2, P_ONLY)
+    assert distinguish(_pointed(one), _pointed(none), budget) == Prop("p")
+    calls = []
+
+    def agreeing(model, world, sentence, use_memo=True):
+        calls.append((model, format_formula(sentence), use_memo))
+        return True
+
+    monkeypatch.setattr(_distinguish_module, "holds_at", agreeing)
+    with pytest.raises(RuntimeError, match="disagree on 'p'"):
+        distinguish(_pointed(one), _pointed(none), budget)
+    assert calls == [(one, "p", False), (none, "p", False)]
 
 
 # --- the proof of bisimilarity before the last batch -------------------------
