@@ -35,14 +35,12 @@ from .model import (
     validate,
 )
 from .semantics import (
-    EMPTY_INTERPRETATION,
     Evaluator,
     InterpretationPair,
     NotASentenceError,
     UndefinedInterpretationError,
     evaluate_sentence,
     holds_at,
-    valuation,
 )
 from .syntax import (
     And,

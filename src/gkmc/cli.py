@@ -108,12 +108,12 @@ def _cmd_eval(args):
     if not diagnostics.verdict:
         lines = [f"{v.tag}: {v.message}" for v in diagnostics.violations]
         return INPUT_ERROR, {"error": "not-a-sentence", "violations": lines}, "not a sentence:\n  " + "\n  ".join(lines)
+    if args.world is not None and args.world not in m.worlds:
+        raise ValueError(f"unknown world {args.world!r}")
     worlds = evaluate_sentence(m, sentence)
     ordered = [w for w in m.worlds if w in worlds]
     if args.world is None:
         return OK, {"worlds": ordered}, json.dumps(ordered)
-    if args.world not in m.worlds:
-        raise ValueError(f"unknown world {args.world!r}")
     holds = args.world in worlds
     return (
         OK if holds else FAIL,

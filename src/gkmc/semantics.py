@@ -77,15 +77,6 @@ class InterpretationPair:
     model_vars: Mapping[str, str]  # variable -> child label of the current model
     formula_vars: Mapping[str, Formula]  # variable -> the node it stands for, e.g. its xi
 
-    def bind_model_var(self, var: str, label: str) -> "InterpretationPair":
-        return InterpretationPair({**self.model_vars, var: label}, self.formula_vars)
-
-    def bind_formula_var(self, var: str, body: Formula) -> "InterpretationPair":
-        return InterpretationPair(self.model_vars, {**self.formula_vars, var: body})
-
-
-EMPTY_INTERPRETATION = InterpretationPair({}, {})
-
 
 class Evaluator:
     """Evaluates formulas, optionally sharing memo tables across calls.
@@ -97,7 +88,9 @@ class Evaluator:
     open nodes are evaluated each time.  The records hold their models
     for the evaluator's lifetime.  `use_memo=False` runs the same clauses
     with no memo table; the test suite checks both paths against an
-    independent set-based evaluator.
+    independent set-based evaluator.  `_eval` holds all nine clauses, so
+    each formula level costs one Python frame: the stack depth is
+    generations times formula levels.
 
     `sentence_worlds` checks its argument with `check_sentence`, whose
     verdict is cached on the formula node, so evaluating an already
@@ -116,6 +109,8 @@ class Evaluator:
         return r.world_set(self._eval(r, sentence, {}, {}))
 
     def formula_worlds(self, m: GenealogicalModel, f: Formula, interp: InterpretationPair) -> frozenset[str]:
+        """Any formula under explicit interpretations, with no sentence
+        check: an open one may raise `UndefinedInterpretationError`."""
         r = self._record(m)
         return r.world_set(self._eval(r, f, dict(interp.model_vars), dict(interp.formula_vars)))
 
@@ -125,79 +120,66 @@ class Evaluator:
         return self._records.get(m) or self._records.setdefault(m, _ModelRecord(m, self._use_memo))
 
     def _eval(self, r: _ModelRecord, f: Formula, mv: dict, fv: dict) -> int:
-        if type(f) is FormulaVar:  # stands for its node: in a sentence, its closed `xi`
+        t = type(f)
+        if t is FormulaVar:  # stands for its node: in a sentence, its closed `xi`
             bound = fv.get(f.name)
             if bound is None:
                 raise UndefinedInterpretationError(f"formula variable {f.name!r} uninterpreted")
             if type(bound) is FormulaVar:  # an interpretation passed in may chain variables
                 return self._eval(r, bound, mv, fv)
-            f = bound
+            f, t = bound, type(bound)
         memo = r.memo
         if memo is not None:
             hit = memo.get(f)
             if hit is not None:
                 return hit
-        try:
-            clause = _CLAUSES[type(f)]
-        except KeyError:
-            raise TypeError(f"not a formula: {f!r}") from None
-        worlds = clause(self, r, f, mv, fv)
+        if t is Not:
+            worlds = r.full ^ self._eval(r, f.operand, mv, fv)
+        elif t is And:
+            worlds = self._eval(r, f.left, mv, fv) & self._eval(r, f.right, mv, fv)
+        elif t is Prop:
+            worlds = sum(r.bits[w] for w in r.model.valuation.get(f.name, ()))
+        elif t is Top:
+            worlds = r.full
+        elif t is Box:
+            outside = r.full ^ self._eval(r, f.operand, mv, fv)
+            worlds = 0
+            for bit, succ in r.succ:
+                if not succ & outside:
+                    worlds |= bit
+        elif t is Xi:
+            worlds = self._eval(r, f.body, mv, {**fv, f.var: f})
+        elif t is Forall:
+            worlds = r.full
+            for label in r.model.children:
+                worlds &= self._eval(r, f.body, {**mv, f.var: label}, fv)
+                if not worlds:
+                    break
+        elif t is QueryVar:
+            label = mv.get(f.var)
+            if label not in r.model.children:
+                raise UndefinedInterpretationError(f"model variable {f.var!r} is not bound to a child")
+            child = self._record(r.model.children[label])
+            inner = self._eval(child, f.body, {}, fv)
+            tracking, worlds = r.model.tracking, 0
+            for w, bit in r.bits.items():
+                if inner & child.bits[tracking[w][label]]:
+                    worlds |= bit
+        elif t is QueryConst:
+            m, worlds = r.model, 0
+            for w, bit in r.bits.items():
+                label = m.assignment.get(w, {}).get(f.const)
+                if label is not None:
+                    child = self._record(m.children[label])
+                    if self._eval(child, f.body, {}, fv) & child.bits[m.tracking[w][label]]:
+                        worlds |= bit
+        else:
+            raise TypeError(f"not a formula: {f!r}")
         if memo is not None:
             mdeps, _, fdeps, _ = free_vars(f)
             if not (mdeps or fdeps):  # closed: its value depends on the model alone
                 memo[f] = worlds
         return worlds
-
-    def _box(self, r: _ModelRecord, f: Box, mv: dict, fv: dict) -> int:
-        outside = r.full ^ self._eval(r, f.operand, mv, fv)
-        worlds = 0
-        for bit, succ in r.succ:
-            if not succ & outside:
-                worlds |= bit
-        return worlds
-
-    def _forall(self, r: _ModelRecord, f: Forall, mv: dict, fv: dict) -> int:
-        worlds = r.full
-        for label in r.model.children:
-            worlds &= self._eval(r, f.body, {**mv, f.var: label}, fv)
-            if not worlds:
-                break
-        return worlds
-
-    def _query_var(self, r: _ModelRecord, f: QueryVar, mv: dict, fv: dict) -> int:
-        label = mv.get(f.var)
-        if label not in r.model.children:
-            raise UndefinedInterpretationError(f"model variable {f.var!r} is not bound to a child")
-        child = self._record(r.model.children[label])
-        inner = self._eval(child, f.body, {}, fv)
-        tracking, worlds = r.model.tracking, 0
-        for w, bit in r.bits.items():
-            if inner & child.bits[tracking[w][label]]:
-                worlds |= bit
-        return worlds
-
-    def _query_const(self, r: _ModelRecord, f: QueryConst, mv: dict, fv: dict) -> int:
-        m, worlds = r.model, 0
-        for w, bit in r.bits.items():
-            label = m.assignment.get(w, {}).get(f.const)
-            if label is not None:
-                child = self._record(m.children[label])
-                if self._eval(child, f.body, {}, fv) & child.bits[m.tracking[w][label]]:
-                    worlds |= bit
-        return worlds
-
-
-_CLAUSES = {
-    Top: lambda ev, r, f, mv, fv: r.full,
-    Prop: lambda ev, r, f, mv, fv: sum(r.bits[w] for w in r.model.valuation.get(f.name, ())),
-    Not: lambda ev, r, f, mv, fv: r.full ^ ev._eval(r, f.operand, mv, fv),
-    And: lambda ev, r, f, mv, fv: ev._eval(r, f.left, mv, fv) & ev._eval(r, f.right, mv, fv),
-    Box: Evaluator._box,
-    Forall: Evaluator._forall,
-    Xi: lambda ev, r, f, mv, fv: ev._eval(r, f.body, mv, {**fv, f.var: f}),
-    QueryVar: Evaluator._query_var,
-    QueryConst: Evaluator._query_const,
-}
 
 
 class _ModelRecord:
@@ -236,15 +218,3 @@ def holds_at(m: GenealogicalModel, world: str, sentence: Formula, *, use_memo: b
         raise ValueError(f"unknown world {world!r}")
     return world in evaluate_sentence(m, sentence, use_memo=use_memo)
 
-
-def valuation(m: GenealogicalModel, f: Formula, interp: InterpretationPair = EMPTY_INTERPRETATION) -> frozenset[str]:
-    """Raw clause evaluation of an arbitrary formula under explicit interpretations.
-
-    Unlike `evaluate_sentence` this performs no sentence check, and may
-    raise `UndefinedInterpretationError` on a formula that is not one; the
-    memo keeps closed subformulas only, sound under any interpretation.
-    This function, the interpretation types and `Evaluator.formula_worlds`
-    are kept because the tests evaluate open formulas through them and
-    the benchmark's layer tracer wraps `formula_worlds` by name.
-    """
-    return Evaluator().formula_worlds(m, f, interp)

@@ -89,15 +89,39 @@ def test_validate_too_deep_document_is_an_input_error(capsys, tmp_path, text):
     assert json.loads(out) == {"error": "format", "message": "document nested too deeply for the JSON decoder"}
 
 
-def test_validate_480_generation_chain_loads(tmp_path):
-    # In a fresh process: the decoder's depth limit counts the frames
-    # already on the stack, and pytest's are many.
-    path = tmp_path / "chain.gkm.json"
+@pytest.fixture(scope="module")
+def chain_480(tmp_path_factory):
+    path = tmp_path_factory.mktemp("chain") / "chain.gkm.json"
     path.write_text(_chain(480))
+    return str(path)
+
+
+def run_fresh(*argv):
+    """`gkmc --json *argv` in a fresh process, for documents near the
+    decoder's depth limit: that limit counts the frames already on the
+    stack, and pytest's are many."""
     src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-m", "gkmc.cli", "--json", "validate", str(path)], capture_output=True, text=True, env=env)
-    assert (done.returncode, done.stdout) == (0, '{"valid":true}\n')
+    done = subprocess.run([sys.executable, "-m", "gkmc.cli", "--json", *argv], capture_output=True, text=True, env=env)
+    return done.returncode, done.stdout
+
+
+def test_validate_480_generation_chain_loads(chain_480):
+    assert run_fresh("validate", chain_480) == (0, '{"valid":true}\n')
+
+
+def test_eval_unknown_world_is_checked_before_evaluating(chain_480):
+    # The evaluation alone would exit 4 (next test).
+    assert run_fresh("eval", chain_480, "xi X. forall x. ?[X] x", "--world", "nowhere") == (
+        2,
+        '{"error":"input","message":"unknown world \'nowhere\'"}\n',
+    )
+
+
+@pytest.mark.xfail(strict=True, reason="the evaluator recurses once per formula level and generation (ROADMAP item 1)")
+def test_eval_on_480_generation_chain_is_not_a_crash(chain_480):
+    code, out = run_fresh("eval", chain_480, "xi X. forall x. ?[X] x")
+    assert code in (0, 1, 2, 3), out
 
 
 def test_validate_closure_over_unknown_world_is_a_violation(capsys, tmp_path):
@@ -521,7 +545,11 @@ _vocab_docs = st.one_of(_json_values, _vocab_fields, _vocab_fields)
 def test_cli_exit_code_contract_on_generated_invocations(tiny_models, corpus_models, deep_models, vocab_path, data):
     def model(deep=False):
         # bisim and distinguish still recurse once per generation (ROADMAP
-        # item 1), so only validate and eval read the deep documents.
+        # item 1), so only validate and eval read the deep documents.  eval
+        # is not safe on them either: on 3.10/3.11 pytest's frames make the
+        # decoder refuse the 480-generation chain, but 3.12 and later load
+        # it, and `xi X. forall x. ?[X] x` then exits 4, as it does in a
+        # fresh process (test_eval_on_480_generation_chain_is_not_a_crash).
         sources = [tiny_models, corpus_models, *([deep_models] if deep else [])]
         return data.draw(st.one_of(*map(st.sampled_from, sources)))
 
