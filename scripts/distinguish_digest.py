@@ -20,14 +20,13 @@ import argparse
 import hashlib
 import pathlib
 import sys
-from dataclasses import replace
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from gkmc.bisim import brute_force_bisim
 from gkmc.distinguish import EnumerationBudget, distinguish
 from gkmc.generate import GenSpec, SplitMix64, break_child, derive, dup_child, gen_model, retrack
-from gkmc.model import PointedModel
+from gkmc.model import PointedModel, replace_model
 from gkmc.syntax import Vocabulary, format_formula
 
 TINY = dict(max_worlds=3, max_children=2, max_depth=2, prop_count=1, constant_count=1, edge_density=0.45)
@@ -110,7 +109,7 @@ def twins_and_retrack(seed: int):
     child = m.children[first]
     tracking = {w: {"a": row[first], "b": rng.choice(child.worlds)} for w, row in m.tracking.items()}
     assignment = {w: dict.fromkeys(row, "a") for w, row in m.assignment.items()}
-    m = replace(m, children={"a": child, "b": child}, tracking=tracking, assignment=assignment)
+    m = replace_model(m, children={"a": child, "b": child}, tracking=tracking, assignment=assignment)
     return m, retrack(m, rng.choice(m.worlds), "a", "b")
 
 if __name__ == "__main__":

@@ -13,7 +13,6 @@ import json
 import pathlib
 import sys
 import time
-from dataclasses import replace
 
 HERE = pathlib.Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
@@ -21,7 +20,7 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 from distinguish_digest import TINY
 from gkmc.bisim import bisimilar, brute_force_bisim, check_witness, witness_from_document, witness_to_document
 from gkmc.generate import GenSpec, SplitMix64, break_child, derive, gen_model, retrack
-from gkmc.model import PointedModel
+from gkmc.model import PointedModel, replace_model
 
 
 def main():
@@ -107,7 +106,7 @@ def retrack_pair(seed):
     child = m.children[first]
     tracking = {w: {"a": row[first], "b": rng.choice(child.worlds)} for w, row in m.tracking.items()}
     assignment = {w: dict.fromkeys(row, "a") for w, row in m.assignment.items()}
-    m = replace(m, children={"a": child, "b": child}, tracking=tracking, assignment=assignment)
+    m = replace_model(m, children={"a": child, "b": child}, tracking=tracking, assignment=assignment)
     other = retrack(m, rng.choice(m.worlds), "a", "b")
     world = rng.choice(m.worlds)
     return PointedModel(m, world), PointedModel(other, world), seed

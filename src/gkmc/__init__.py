@@ -15,7 +15,7 @@ from .bisim import (
     witness_to_document,
 )
 from .distinguish import EnumerationBudget, distinguish, enumerate_sentences
-from .generate import GenSpec, SplitMix64, break_child, derive, dup_child, gen_formula, gen_model, gen_sentence
+from .generate import GenSpec, SplitMix64, break_child, derive, dup_child, gen_model, gen_sentence
 from .model import (
     DocumentFormatError,
     GenealogicalModel,
@@ -29,8 +29,8 @@ from .model import (
     load_model_file,
     model_vocabulary,
     parse_document,
+    replace_model,
     rt_closure,
-    same_structure,
     to_document,
     validate,
 )
@@ -67,8 +67,6 @@ from .syntax import (
     diamond,
     exists,
     format_formula,
-    free_formula_vars,
-    free_model_vars,
     imp,
     occurrences,
     or_,

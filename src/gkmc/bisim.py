@@ -50,11 +50,10 @@ enumerates relations Z and functions f and shares no code with the search.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .model import GenealogicalModel, PointedModel, depth, model_vocabulary
-from .syntax import Vocabulary
+from .syntax import Record, Vocabulary, _set
 
 DEFAULT_BUDGET = 500_000
 
@@ -67,28 +66,36 @@ class OracleSizeError(ValueError):
     """Inputs exceed the brute-force oracle's size guard."""
 
 
-@dataclass(frozen=True, eq=False)
-class BisimWitness:
+class BisimWitness(Record):
     """The bisimulation (Z, f ≡ H): the world pairs Z, the child pairs H
     and one child witness per child pair at tracked worlds.  It hashes by
     identity, so a witness DAG indexes its shared nodes."""
 
-    z: frozenset[tuple[str, str]]
-    h: frozenset[tuple[str, str]]
-    # (left label, right label, left world, right world) -> child witness
-    child_witnesses: Mapping[tuple[str, str, str, str], "BisimWitness"]
+    __slots__ = __match_args__ = ("z", "h", "child_witnesses")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, z: frozenset[tuple[str, str]], h: frozenset[tuple[str, str]], child_witnesses: Mapping[tuple, BisimWitness]):
+        _set(self, "z", z)
+        _set(self, "h", h)
+        # (left label, right label, left world, right world) -> child witness
+        _set(self, "child_witnesses", child_witnesses)
 
 
-@dataclass(frozen=True)
-class BisimVerdict:
-    bisimilar: bool
-    witness: Optional[BisimWitness]
+class BisimVerdict(Record):
+    __slots__ = __match_args__ = ("bisimilar", "witness")
+
+    def __init__(self, bisimilar: bool, witness: Optional[BisimWitness]):
+        _set(self, "bisimilar", bisimilar)
+        _set(self, "witness", witness)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
-    ok: bool
-    failures: tuple[tuple[str, str], ...]  # (clause tag, message)
+class WitnessReport(Record):
+    __slots__ = __match_args__ = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures: tuple[tuple[str, str], ...]):
+        _set(self, "ok", ok)
+        _set(self, "failures", failures)  # (clause tag, message)
 
 
 def _successors(m: GenealogicalModel) -> dict[str, tuple[str, ...]]:

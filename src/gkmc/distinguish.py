@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .bisim import BudgetExceededError, bisimilar, check_witness
@@ -60,18 +59,19 @@ from .syntax import (
     Prop,
     QueryConst,
     QueryVar,
+    Record,
     Top,
     Vocabulary,
     Xi,
+    _FORMULA_VARS,
+    _MODEL_VARS,
+    _set,
     bot,
     diamond,
     exists,
     format_formula,
     free_vars,
 )
-
-_MODEL_VARS = ("x", "y", "z", "w")
-_FORMULA_VARS = ("X", "Y", "Z")
 
 _TOP = Top()
 _BOT = bot()
@@ -83,8 +83,7 @@ _BOT = bot()
 _PROOF_BUDGET = 1_000
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
+class EnumerationBudget(Record):
     """Finite bounds for sentence enumeration.
 
     `max_connective_depth` caps the total number of connective
@@ -92,17 +91,18 @@ class EnumerationBudget:
     steps, bounding how far along the relation a sentence can see.
     """
 
-    max_connective_depth: int
-    max_modal_depth: int
-    vocab: Vocabulary
-    allow_xi: bool = True
+    __slots__ = __match_args__ = ("max_connective_depth", "max_modal_depth", "vocab", "allow_xi")
 
-    def __post_init__(self):
-        depths = (self.max_connective_depth, self.max_modal_depth)
+    def __init__(self, max_connective_depth: int, max_modal_depth: int, vocab: Vocabulary, allow_xi: bool = True):
+        depths = (max_connective_depth, max_modal_depth)
         if not all(isinstance(d, int) and d >= 0 for d in depths):
             raise ValueError(f"enumeration depths must be non-negative ints, not {depths}")
-        if not isinstance(self.vocab, Vocabulary):
+        if not isinstance(vocab, Vocabulary):
             raise ValueError("the enumeration vocabulary must be a Vocabulary")
+        _set(self, "max_connective_depth", max_connective_depth)
+        _set(self, "max_modal_depth", max_modal_depth)
+        _set(self, "vocab", vocab)
+        _set(self, "allow_xi", allow_xi)
 
 
 # Generation context: model variables usable as query terms, formula

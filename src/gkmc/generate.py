@@ -14,9 +14,7 @@ expected values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-from .model import GenealogicalModel, rt_closure, CLOSURE_NONE, CLOSURE_RT
+from .model import GenealogicalModel, replace_model, rt_closure, CLOSURE_NONE, CLOSURE_RT
 from .syntax import (
     And,
     Box,
@@ -27,9 +25,13 @@ from .syntax import (
     Prop,
     QueryConst,
     QueryVar,
+    Record,
     Top,
     Vocabulary,
     Xi,
+    _FORMULA_VARS,
+    _MODEL_VARS,
+    _set,
     bot,
     diamond,
     exists,
@@ -78,19 +80,22 @@ def _names(pool, count, prefix):
     return [pool[k] if k < len(pool) else f"{prefix}{k}" for k in range(count)]
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(Record):
     """Shape parameters for random model generation; output is a pure
     function of the whole spec."""
 
-    seed: int
-    max_worlds: int = 4
-    max_children: int = 2
-    max_depth: int = 2
-    prop_count: int = 1
-    constant_count: int = 1
-    closure: str = CLOSURE_NONE
-    edge_density: float = 0.3
+    __slots__ = __match_args__ = ("seed", "max_worlds", "max_children", "max_depth", "prop_count", "constant_count", "closure", "edge_density")
+
+    def __init__(self, seed: int, max_worlds: int = 4, max_children: int = 2, max_depth: int = 2, prop_count: int = 1,
+                 constant_count: int = 1, closure: str = CLOSURE_NONE, edge_density: float = 0.3):
+        _set(self, "seed", seed)
+        _set(self, "max_worlds", max_worlds)
+        _set(self, "max_children", max_children)
+        _set(self, "max_depth", max_depth)
+        _set(self, "prop_count", prop_count)
+        _set(self, "constant_count", constant_count)
+        _set(self, "closure", closure)
+        _set(self, "edge_density", edge_density)
 
 
 def gen_model(spec: GenSpec) -> GenealogicalModel:
@@ -180,7 +185,7 @@ def dup_child(m: GenealogicalModel, label: str) -> GenealogicalModel:
         raise ValueError(f"unknown child label {label!r}")
     fresh = _fresh_label(m, label)
     tracking = {w: {**row, fresh: row[label]} for w, row in m.tracking.items()}
-    return replace(m, children={**m.children, fresh: m.children[label]}, tracking=tracking)
+    return replace_model(m, children={**m.children, fresh: m.children[label]}, tracking=tracking)
 
 
 def break_child(m: GenealogicalModel, label: str, prop: str, world: str) -> GenealogicalModel:
@@ -194,8 +199,8 @@ def break_child(m: GenealogicalModel, label: str, prop: str, world: str) -> Gene
         raise ValueError(f"unknown world {world!r} in child {label!r}")
     member = child.valuation.get(prop, frozenset())
     flipped = member - {world} if world in member else member | {world}
-    new_child = replace(child, valuation={**child.valuation, prop: flipped})
-    return replace(m, children={**m.children, label: new_child})
+    new_child = replace_model(child, valuation={**child.valuation, prop: flipped})
+    return replace_model(m, children={**m.children, label: new_child})
 
 
 def retrack(m: GenealogicalModel, world: str, a: str, b: str) -> GenealogicalModel:
@@ -206,58 +211,11 @@ def retrack(m: GenealogicalModel, world: str, a: str, b: str) -> GenealogicalMod
     row = m.tracking[world]
     if row[b] not in m.children[a].worlds or row[a] not in m.children[b].worlds:
         raise ValueError(f"children {a!r} and {b!r} cannot trade tracked worlds at {world!r}")
-    return replace(m, tracking={**m.tracking, world: {**row, a: row[b], b: row[a]}})
+    return replace_model(m, tracking={**m.tracking, world: {**row, a: row[b], b: row[a]}})
 
 
 # --------------------------------------------------------------------------
 # Formula and sentence generation
-
-_MODEL_VARS = ("x", "y", "z", "w")
-_FORMULA_VARS = ("X", "Y", "Z")
-
-
-def gen_formula(seed: int, vocab: Vocabulary, max_connectives: int = 6) -> Formula:
-    """An arbitrary formula over the vocabulary; free variables allowed.
-
-    Exercises the parser and printer on shapes the sentence generator
-    avoids (shadowing, unbound variables, unguarded formula variables).
-    """
-    rng = SplitMix64(seed)
-    props = sorted(vocab.props)
-    consts = sorted(vocab.constants)
-
-    def go(budget):
-        if budget == 0 or rng.chance(0.2):
-            kind = rng.below(4)
-            if kind == 0:
-                return Top()
-            if kind == 1:
-                return bot()
-            if kind == 2 and props:
-                return Prop(rng.choice(props))
-            return FormulaVar(rng.choice(_FORMULA_VARS))
-        kind = rng.below(10)
-        if kind == 0:
-            return Not(go(budget - 1))
-        if kind == 1:
-            half = budget - 1
-            return And(go(half // 2), go(half - half // 2))
-        if kind == 2:
-            return Box(go(budget - 1))
-        if kind == 3:
-            return diamond(go(budget - 1))
-        if kind == 4:
-            return Forall(rng.choice(_MODEL_VARS), go(budget - 1))
-        if kind == 5:
-            return exists(rng.choice(_MODEL_VARS), go(budget - 1))
-        if kind == 6:
-            return Xi(rng.choice(_FORMULA_VARS), go(budget - 1))
-        if kind == 7 and consts:
-            return QueryConst(go(budget - 1), rng.choice(consts))
-        return QueryVar(go(budget - 1), rng.choice(_MODEL_VARS))
-
-    return go(max_connectives)
-
 
 def gen_sentence(seed: int, vocab: Vocabulary, max_connectives: int = 6, allow_xi: bool = True) -> Formula:
     """A random sentence: closed, every xi subformula closed, query bodies

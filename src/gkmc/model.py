@@ -32,46 +32,71 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from itertools import accumulate
 
-from .syntax import Vocabulary, is_valid_name
+from .syntax import Record, Vocabulary, _set, is_valid_name
 
 
-@dataclass(frozen=True, eq=False)
-class GenealogicalModel:
-    worlds: tuple[str, ...]
-    relation: frozenset[tuple[str, str]]
-    valuation: dict[str, frozenset[str]]
-    children: dict[str, "GenealogicalModel"]
-    assignment: dict[str, dict[str, str]]  # world -> constant -> child label
-    tracking: dict[str, dict[str, str]]  # world -> child label -> child world
+class GenealogicalModel(Record):
+    """One model; it hashes by identity, so shared submodels are one key."""
+
+    __slots__ = __match_args__ = ("worlds", "relation", "valuation", "children", "assignment", "tracking")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        worlds: tuple[str, ...],
+        relation: frozenset[tuple[str, str]],
+        valuation: dict[str, frozenset[str]],
+        children: dict[str, GenealogicalModel],
+        assignment: dict[str, dict[str, str]],  # world -> constant -> child label
+        tracking: dict[str, dict[str, str]],  # world -> child label -> child world
+    ):
+        _set(self, "worlds", worlds)
+        _set(self, "relation", relation)
+        _set(self, "valuation", valuation)
+        _set(self, "children", children)
+        _set(self, "assignment", assignment)
+        _set(self, "tracking", tracking)
 
 
-@dataclass(frozen=True, eq=False)
-class PointedModel:
-    model: GenealogicalModel
-    world: str
-
-    def __post_init__(self):
-        if self.world not in self.model.worlds:
-            raise ValueError(f"unknown world {self.world!r}")
+def replace_model(m: GenealogicalModel, **changes) -> GenealogicalModel:
+    """A new model with `m`'s fields but for those given, unvalidated."""
+    fields = {name: getattr(m, name) for name in m.__match_args__}
+    return GenealogicalModel(**(fields | changes))
 
 
-@dataclass(frozen=True)
-class ModelViolation:
-    tag: str
-    path: str
-    message: str
+class PointedModel(Record):
+    __slots__ = __match_args__ = ("model", "world")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, model: GenealogicalModel, world: str):
+        if world not in model.worlds:
+            raise ValueError(f"unknown world {world!r}")
+        _set(self, "model", model)
+        _set(self, "world", world)
+
+
+class ModelViolation(Record):
+    __slots__ = __match_args__ = ("tag", "path", "message")
+
+    def __init__(self, tag: str, path: str, message: str):
+        _set(self, "tag", tag)
+        _set(self, "path", path)
+        _set(self, "message", message)
 
     def __str__(self):
         return f"{self.tag} at {self.path or '<root>'}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ModelDiagnostics:
-    verdict: bool
-    violations: tuple[ModelViolation, ...]
+class ModelDiagnostics(Record):
+    __slots__ = __match_args__ = ("verdict", "violations")
+
+    def __init__(self, verdict: bool, violations: tuple[ModelViolation, ...]):
+        _set(self, "verdict", verdict)
+        _set(self, "violations", violations)
 
 
 class DocumentFormatError(ValueError):
@@ -312,10 +337,6 @@ def to_document(m: GenealogicalModel) -> dict:
 def dump_model(m: GenealogicalModel) -> str:
     """Deterministic serialization; loading it back gives a structurally equal model."""
     return json.dumps(to_document(m), indent=2) + "\n"
-
-
-def same_structure(a: GenealogicalModel, b: GenealogicalModel) -> bool:
-    return dump_model(a) == dump_model(b)
 
 
 def depth(m: GenealogicalModel) -> int:

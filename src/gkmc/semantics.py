@@ -32,7 +32,6 @@ alone; C2 makes each `xi` of a sentence closed, so every unfolding of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Optional
 
@@ -47,9 +46,11 @@ from .syntax import (
     Prop,
     QueryConst,
     QueryVar,
+    Record,
     SentenceDiagnostics,
     Top,
     Xi,
+    _set,
     check_sentence,
     free_vars,
 )
@@ -70,12 +71,14 @@ class UndefinedInterpretationError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class InterpretationPair:
+class InterpretationPair(Record):
     """The two partial maps threaded through evaluation."""
 
-    model_vars: Mapping[str, str]  # variable -> child label of the current model
-    formula_vars: Mapping[str, Formula]  # variable -> the node it stands for, e.g. its xi
+    __slots__ = __match_args__ = ("model_vars", "formula_vars")
+
+    def __init__(self, model_vars: Mapping[str, str], formula_vars: Mapping[str, Formula]):
+        _set(self, "model_vars", model_vars)  # variable -> child label of the current model
+        _set(self, "formula_vars", formula_vars)  # variable -> the node it stands for, e.g. its xi
 
 
 class Evaluator:

@@ -46,105 +46,190 @@ memo tables, sets and checks pays for each once.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Optional
 
 
-class Formula:
+_set = object.__setattr__  # how a frozen value's __init__ sets its fields
+
+
+class Record:
+    """Base of gkmc's immutable values.
+
+    A subclass names its fields, in constructor order, in
+    `__match_args__`, stores them in `__slots__` and sets them in its
+    `__init__` with `_set`.  The base gives it equality with instances
+    of the same class whose fields are equal, a hash of the fields, a
+    `repr` naming them, `AttributeError` on any assignment or deletion,
+    and pickling and copying by the fields alone.  A value that hashes
+    by identity sets `__eq__` and `__hash__` back to `object`'s.
+    """
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Formula(Record):
     """Base class of formula nodes.
+
+    A node class is a `Record` that writes its own `__init__` and
+    `__eq__`, the two calls every parse, stream build and memo lookup
+    makes.  Nodes of different classes never compare equal, and every
+    node class hashes by `Formula.__hash__`.
 
     Slots cache per-node facts that never change once the node exists:
     `_hash` (first `hash()`), `_free` (first `free_vars`) and `_sentence`
-    (first `check_sentence`).  They are not dataclass fields, so equality,
-    `repr`, `fields()`, `__match_args__` and the pickled state of a node
-    ignore them; an unpickled or copied node fills them again on first
-    use.  Racing threads at worst compute a value twice.
+    (first `check_sentence`).  They are not fields, so equality, `repr`,
+    `__match_args__` and the pickled state of a node ignore them; an
+    unpickled or copied node fills them again on first use.  Racing
+    threads at worst compute a value twice.
     """
 
     __slots__ = ("_hash", "_free", "_sentence")
+
+    def __init_subclass__(cls):
+        cls.__hash__ = Formula.__hash__  # a class body defining __eq__ sets it to None
 
     def __hash__(self) -> int:
         try:
             return self._hash
         except AttributeError:
             # The children cache their own hashes, so this costs one level.
-            h = hash((type(self), self._hash_fields()))
-            object.__setattr__(self, "_hash", h)
+            h = hash((type(self), *self._values()))
+            _set(self, "_hash", h)
             return h
 
 
-def _node(cls):
-    """A frozen, slotted formula dataclass hashed by `Formula.__hash__`.
-
-    `dataclass` installs its own hash of the field values, recomputed on
-    every use and blind to the node's type; it is kept as `_hash_fields`
-    for the cached hash to call once.
-    """
-    cls = dataclass(frozen=True, slots=True)(cls)
-    cls._hash_fields = cls.__hash__
-    cls.__hash__ = Formula.__hash__
-    return cls
-
-
-@_node
 class Top(Formula):
-    pass
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return True if other.__class__ is self.__class__ else NotImplemented
 
 
-@_node
 class Prop(Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        return self.name == other.name if other.__class__ is self.__class__ else NotImplemented
 
 
-@_node
 class FormulaVar(Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
+
+    def __eq__(self, other):
+        return self.name == other.name if other.__class__ is self.__class__ else NotImplemented
 
 
-@_node
 class Not(Formula):
-    operand: Formula
+    __slots__ = __match_args__ = ("operand",)
+
+    def __init__(self, operand: Formula):
+        _set(self, "operand", operand)
+
+    def __eq__(self, other):
+        # A tuple compares shared children by identity first.
+        return (self.operand,) == (other.operand,) if other.__class__ is self.__class__ else NotImplemented
 
 
-@_node
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = __match_args__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula):
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other):
+        return (self.left, self.right) == (other.left, other.right) if other.__class__ is self.__class__ else NotImplemented
 
 
-@_node
 class Box(Formula):
-    operand: Formula
+    __slots__ = __match_args__ = ("operand",)
+
+    def __init__(self, operand: Formula):
+        _set(self, "operand", operand)
+
+    def __eq__(self, other):
+        return (self.operand,) == (other.operand,) if other.__class__ is self.__class__ else NotImplemented
 
 
-@_node
 class Forall(Formula):
-    var: str
-    body: Formula
+    __slots__ = __match_args__ = ("var", "body")
+
+    def __init__(self, var: str, body: Formula):
+        _set(self, "var", var)
+        _set(self, "body", body)
+
+    def __eq__(self, other):
+        return (self.var, self.body) == (other.var, other.body) if other.__class__ is self.__class__ else NotImplemented
 
 
-@_node
 class Xi(Formula):
     """Binds a formula variable to the body, enabling self-reference."""
 
-    var: str
-    body: Formula
+    __slots__ = __match_args__ = ("var", "body")
+
+    def __init__(self, var: str, body: Formula):
+        _set(self, "var", var)
+        _set(self, "body", body)
+
+    def __eq__(self, other):
+        return (self.var, self.body) == (other.var, other.body) if other.__class__ is self.__class__ else NotImplemented
 
 
-@_node
 class QueryVar(Formula):
     """`?[body] var`: evaluate body in the child process named by a model variable."""
 
-    body: Formula
-    var: str
+    __slots__ = __match_args__ = ("body", "var")
+
+    def __init__(self, body: Formula, var: str):
+        _set(self, "body", body)
+        _set(self, "var", var)
+
+    def __eq__(self, other):
+        return (self.body, self.var) == (other.body, other.var) if other.__class__ is self.__class__ else NotImplemented
 
 
-@_node
 class QueryConst(Formula):
     """`?[body] #const`: evaluate body in the child process a constant points to."""
 
-    body: Formula
-    const: str
+    __slots__ = __match_args__ = ("body", "const")
+
+    def __init__(self, body: Formula, const: str):
+        _set(self, "body", body)
+        _set(self, "const", const)
+
+    def __eq__(self, other):
+        return (self.body, self.const) == (other.body, other.const) if other.__class__ is self.__class__ else NotImplemented
 
 
 def bot() -> Formula:
@@ -168,6 +253,9 @@ def exists(var: str, body: Formula) -> Formula:
 
 
 KEYWORDS = frozenset({"forall", "exists", "xi"})
+# The variable names that generated and enumerated formulas bind.
+_MODEL_VARS = ("x", "y", "z", "w")
+_FORMULA_VARS = ("X", "Y", "Z")
 _LIDENT_RE = re.compile(r"[a-z][a-zA-Z0-9_]*\Z")
 
 
@@ -176,16 +264,18 @@ def is_valid_name(name: str) -> bool:
     return bool(_LIDENT_RE.match(name)) and name not in KEYWORDS
 
 
-@dataclass(frozen=True)
-class Vocabulary:
+class Vocabulary(Record):
     """The fixed proposition and constant names formulas may mention.
 
     The two namespaces never clash at the surface level because constants
     are always written with a `#` sigil.
     """
 
-    props: frozenset[str]
-    constants: frozenset[str]
+    __slots__ = __match_args__ = ("props", "constants")
+
+    def __init__(self, props: frozenset[str], constants: frozenset[str]):
+        _set(self, "props", props)
+        _set(self, "constants", constants)
 
     @classmethod
     def of(cls, props=(), constants=()) -> "Vocabulary":
@@ -477,12 +567,14 @@ def subformulas(f: Formula) -> Iterator[tuple[NodePath, Formula]]:
         stack.extend(reversed([(path + (i,), child) for i, child in enumerate(_children(node))]))
 
 
-@dataclass(frozen=True)
-class Occurrence:
-    path: NodePath
-    kind: str  # "model" | "formula"
-    name: str
-    free: bool
+class Occurrence(Record):
+    __slots__ = __match_args__ = ("path", "kind", "name", "free")
+
+    def __init__(self, path: NodePath, kind: str, name: str, free: bool):
+        _set(self, "path", path)
+        _set(self, "kind", kind)  # "model" | "formula"
+        _set(self, "name", name)
+        _set(self, "free", free)
 
 
 def occurrences(f: Formula) -> list[Occurrence]:
@@ -560,16 +652,8 @@ def free_vars(f: Formula) -> FreeVars:
         summary = FreeVars(model | own, _NONE, formula, ok and not model)
     else:
         summary = FreeVars(_NONE, _NONE, _NONE, True)
-    object.__setattr__(f, "_free", summary)
+    _set(f, "_free", summary)
     return summary
-
-
-def free_model_vars(f: Formula) -> set[str]:
-    return set(free_vars(f).model)
-
-
-def free_formula_vars(f: Formula) -> set[str]:
-    return set(free_vars(f).formula)
 
 
 # --------------------------------------------------------------------------
@@ -580,17 +664,21 @@ C2_XI_SUBFORMULA = "C2-xi-subformula"
 C3_QUERY_BODY = "C3-query-body"
 
 
-@dataclass(frozen=True)
-class SentenceViolation:
-    tag: str
-    node: NodePath
-    message: str
+class SentenceViolation(Record):
+    __slots__ = __match_args__ = ("tag", "node", "message")
+
+    def __init__(self, tag: str, node: NodePath, message: str):
+        _set(self, "tag", tag)
+        _set(self, "node", node)
+        _set(self, "message", message)
 
 
-@dataclass(frozen=True)
-class SentenceDiagnostics:
-    verdict: bool
-    violations: tuple[SentenceViolation, ...]
+class SentenceDiagnostics(Record):
+    __slots__ = __match_args__ = ("verdict", "violations")
+
+    def __init__(self, verdict: bool, violations: tuple[SentenceViolation, ...]):
+        _set(self, "verdict", verdict)
+        _set(self, "violations", violations)
 
 
 def check_sentence(f: Formula) -> SentenceDiagnostics:
@@ -608,7 +696,7 @@ def check_sentence(f: Formula) -> SentenceDiagnostics:
     model, _, formula, ok = free_vars(f)
     closed = ok and not model and not formula
     diagnostics = SentenceDiagnostics(closed, () if closed else _violations(f))
-    object.__setattr__(f, "_sentence", diagnostics)
+    _set(f, "_sentence", diagnostics)
     return diagnostics
 
 

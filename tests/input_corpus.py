@@ -17,10 +17,9 @@ and column, or its `format_formula` text."""
 import copy
 import hashlib
 import json
-from dataclasses import replace
 
 from gkmc.generate import GenSpec, SplitMix64, derive, gen_model, gen_sentence
-from gkmc.model import DocumentFormatError, GenealogicalModel, dump_model, parse_document, to_document, validate
+from gkmc.model import DocumentFormatError, GenealogicalModel, dump_model, parse_document, replace_model, to_document, validate
 from gkmc.syntax import ParseError, Vocabulary, format_formula, parse
 
 
@@ -179,7 +178,7 @@ def _put(m: GenealogicalModel, path, node: GenealogicalModel) -> GenealogicalMod
     if not path:
         return node
     sub = _put(m.children[path[0]], path[1:], node)
-    return replace(m, children={label: sub if label == path[0] else child for label, child in m.children.items()})
+    return replace_model(m, children={label: sub if label == path[0] else child for label, child in m.children.items()})
 
 
 def _rekey(table: dict, old, new) -> dict:
@@ -196,26 +195,26 @@ def _edit(m: GenealogicalModel, rng) -> GenealogicalModel:
     junk = rng.choice(_NAMES)
     if op == 0:  # a world dropped
         k = rng.below(len(m.worlds))
-        return replace(m, worlds=m.worlds[:k] + m.worlds[k + 1:])
+        return replace_model(m, worlds=m.worlds[:k] + m.worlds[k + 1:])
     if op == 1:  # a world duplicated
-        return replace(m, worlds=m.worlds + (rng.choice(m.worlds),))
+        return replace_model(m, worlds=m.worlds + (rng.choice(m.worlds),))
     if op == 2:  # a relation endpoint renamed
         a, b = pair = rng.choice(pairs)
-        return replace(m, relation=m.relation - {pair} | {(junk, b) if rng.chance(0.5) else (a, junk)})
+        return replace_model(m, relation=m.relation - {pair} | {(junk, b) if rng.chance(0.5) else (a, junk)})
     if op == 3:  # a proposition renamed
-        return replace(m, valuation=_rekey(m.valuation, rng.choice(sorted(m.valuation)), junk))
+        return replace_model(m, valuation=_rekey(m.valuation, rng.choice(sorted(m.valuation)), junk))
     if op == 4:  # a valuation world replaced
         prop = rng.choice(sorted(m.valuation))
         ws = sorted(m.valuation[prop])
         gone = {rng.choice(ws)} if ws else set()
-        return replace(m, valuation={**m.valuation, prop: m.valuation[prop] - gone | {junk}})
+        return replace_model(m, valuation={**m.valuation, prop: m.valuation[prop] - gone | {junk}})
     if op in (5, 6):  # an assignment constant or label replaced
         world, const = rng.choice(rows)
         row = m.assignment[world]
         row = _rekey(row, const, junk) if op == 5 else {**row, const: junk}
-        return replace(m, assignment={**m.assignment, world: row})
+        return replace_model(m, assignment={**m.assignment, world: row})
     if op == 7:  # an assignment row added, most often for an unknown world
-        return replace(m, assignment={**m.assignment, junk: {rng.choice(_NAMES): rng.choice([*m.children, junk])}})
+        return replace_model(m, assignment={**m.assignment, junk: {rng.choice(_NAMES): rng.choice([*m.children, junk])}})
     if op < 11:  # a tracking entry removed, set to None or pointed elsewhere
         world, label = rng.choice(entries)
         row = dict(m.tracking[world])
@@ -223,8 +222,8 @@ def _edit(m: GenealogicalModel, rng) -> GenealogicalModel:
             del row[label]
         else:
             row[label] = None if op == 9 else junk
-        return replace(m, tracking={**m.tracking, world: row})
-    return replace(m, children=_rekey(m.children, rng.choice(list(m.children)), ""))
+        return replace_model(m, tracking={**m.tracking, world: row})
+    return replace_model(m, children=_rekey(m.children, rng.choice(list(m.children)), ""))
 
 
 def mutated_models(count: int, seed: int) -> list[GenealogicalModel]:

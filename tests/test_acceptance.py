@@ -5,9 +5,11 @@ threshold, each printing a PASS line.  Run with `pytest tests/test_acceptance.py
 from gkmc.bisim import bisimilar, brute_force_bisim, check_witness
 from gkmc.distinguish import EnumerationBudget, distinguish, enumerate_sentences
 from gkmc.generate import GenSpec, SplitMix64, break_child, dup_child, gen_model, gen_sentence
-from gkmc.model import PointedModel, dump_model, load_model, same_structure, validate
+from gkmc.model import PointedModel, dump_model, load_model, validate
 from gkmc.semantics import Evaluator, UndefinedInterpretationError, evaluate_sentence, holds_at
 from gkmc.syntax import Vocabulary, check_sentence, format_formula, parse
+
+from conftest import same_structure
 
 VOCAB = Vocabulary.of(props=["p", "q", "r", "a", "b"], constants=["c"])
 STREAM_VOCAB = Vocabulary.of(props=["p"], constants=["c"])

@@ -12,11 +12,11 @@ import pytest
 from gkmc.bisim import BisimVerdict, BisimWitness, BudgetExceededError, bisimilar, brute_force_bisim
 from gkmc.distinguish import EnumerationBudget, distinguish, enumerate_sentences
 from gkmc.generate import GenSpec, SplitMix64, break_child, derive, dup_child, gen_model
-from gkmc.model import GenealogicalModel, PointedModel, load_model, model_vocabulary, same_structure
+from gkmc.model import GenealogicalModel, PointedModel, load_model, model_vocabulary
 from gkmc.semantics import Evaluator, holds_at
 from gkmc.syntax import Prop, Vocabulary, check_sentence, format_formula, parse
 
-from conftest import TINY, load_script, twins_and_retrack
+from conftest import TINY, load_script, same_structure, twins_and_retrack
 
 P_ONLY = Vocabulary.of(props=["p"])
 P_C = Vocabulary.of(props=["p"], constants=["c"])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -9,13 +10,14 @@ from gkmc.generate import (
     break_child,
     derive,
     dup_child,
-    gen_formula,
     gen_model,
     gen_sentence,
     retrack,
 )
 from gkmc.model import PointedModel, depth, dump_model, load_model, validate
 from gkmc.syntax import Vocabulary, check_sentence, format_formula, parse
+
+from conftest import gen_formula
 
 VOCAB = Vocabulary.of(props=["p", "q"], constants=["c"])
 
@@ -256,3 +258,17 @@ def test_gen_formula_round_trips():
     for seed in range(200):
         f = gen_formula(seed, VOCAB, max_connectives=7)
         assert parse(format_formula(f), VOCAB) == f
+
+
+@pytest.mark.parametrize(
+    "vocab,digest",
+    [
+        (VOCAB, "8fc540a2fdae52d4ca99dc3440842ea3d7e87c7a33ff24b9165b8c1bf7368668"),
+        (Vocabulary.of(props=["p", "q", "r"], constants=["c", "d"]), "1b1a07a61b16e29bc1165e76a9134d48585e467f3af1e2075788f8f2a3da47b9"),
+    ],
+)
+def test_gen_formula_draws_are_frozen(vocab, digest):
+    # The formulas the syntax suites draw for each seed; a change here
+    # changes what those suites test.
+    text = "\n".join(format_formula(gen_formula(seed, vocab, max_connectives=k)) for seed in range(300) for k in (6, 14))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -19,9 +19,10 @@ from gkmc.model import (
     PointedModel,
     parse_document,
     rt_closure,
-    same_structure,
     validate,
 )
+
+from conftest import same_structure
 
 MINIMAL = '{"worlds": ["s0"]}'
 

@@ -1,5 +1,4 @@
 import pickle
-from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,8 +29,6 @@ from gkmc.syntax import (
     diamond,
     exists,
     format_formula,
-    free_formula_vars,
-    free_model_vars,
     free_vars,
     imp,
     occurrences,
@@ -39,7 +36,9 @@ from gkmc.syntax import (
     parse,
     subformulas,
 )
-from gkmc.generate import gen_formula, gen_sentence
+from gkmc.generate import gen_sentence
+
+from conftest import free_formula_vars, free_model_vars, gen_formula
 
 VOCAB = Vocabulary.of(props=["p", "q", "r"], constants=["c", "d"])
 
@@ -375,7 +374,7 @@ def test_cached_slots_leave_value_unchanged():
     check_sentence(f)
     assert pickle.dumps(f) == state
     assert repr(f) == text == "Xi(var='X', body=Forall(var='x', body=QueryVar(body=FormulaVar(name='X'), var='x')))"
-    assert [field.name for field in fields(f)] == ["var", "body"]
+    assert Xi.__slots__ == ("var", "body") and Xi(f.var, f.body) == f
     assert Xi.__match_args__ == ("var", "body")
     restored = pickle.loads(state)
     assert restored == f and hash(restored) == hash(f)
