@@ -43,7 +43,7 @@ from gkmc.generate import GenSpec, dup_child, gen_model
 from gkmc.model import dump_model
 from run_examples import CORPUS
 
-PINNED = "dbee0928dddfb1d2a6070cd4025dd46ed786e84a721c3658e3789e3dacb92998"
+PINNED = "2cf14bfb7da41a400bb85a2b44b8e456217e013d051c5fce84bef48019bac26a"
 
 FIXTURES = {
     "de_dicto.gkm.json": ("s0", "s1", "s2"),

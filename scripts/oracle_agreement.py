@@ -6,7 +6,10 @@ pass the checker and serialize to the same bytes.
 
 A second population, reported on its own line, pairs tiny models with
 their `retrack` at one world; some of these pairs survive plain
-refinement and are rejected only by the cover search."""
+refinement and are rejected only by the cover search.  A third pairs
+each tiny model of the first with its `rename_worlds` copy at one world:
+bisimilar pairs that reflexivity cannot answer, so their witnesses come
+from the cover search."""
 
 import argparse
 import json
@@ -19,7 +22,7 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
 from distinguish_digest import TINY
 from gkmc.bisim import bisimilar, brute_force_bisim, check_witness, witness_from_document, witness_to_document
-from gkmc.generate import GenSpec, SplitMix64, break_child, derive, gen_model, retrack
+from gkmc.generate import GenSpec, SplitMix64, break_child, derive, gen_model, rename_worlds, retrack
 from gkmc.model import PointedModel, replace_model
 
 
@@ -40,7 +43,9 @@ def main():
     retracked = (retrack_pair(args.seed + k) for k in range(args.pairs))
     r_agree, r_disagree, r_positives, r_failed = cross_check(pair for pair in retracked if pair is not None)
     print(f"retrack: {r_agree}/{r_agree + r_disagree} agree ({r_positives} bisimilar, {r_positives - r_failed} witnesses verified)")
-    if disagree or r_disagree or failed or r_failed:
+    n_agree, n_disagree, n_positives, n_failed = cross_check(renamed_pair(args.seed + k) for k in range(args.pairs))
+    print(f"renamed: {n_agree}/{n_agree + n_disagree} agree ({n_positives} bisimilar, {n_positives - n_failed} witnesses verified)")
+    if disagree or r_disagree or n_disagree or failed or r_failed or n_failed:
         sys.exit(1)
 
 
@@ -90,6 +95,14 @@ def random_pair(seed, mutate):
         label = rng.choice(sorted(m.children))
         other = break_child(m, label, "p", rng.choice(m.children[label].worlds))
     return PointedModel(m, rng.choice(m.worlds)), PointedModel(other, rng.choice(other.worlds)), seed
+
+
+def renamed_pair(seed):
+    """The tiny model of `random_pair(seed, ...)` against its
+    `rename_worlds` copy, pointed at one random world and its copy."""
+    m = gen_model(GenSpec(seed=seed, **TINY))
+    world = SplitMix64(derive(seed, "renamed")).choice(m.worlds)
+    return PointedModel(m, world), PointedModel(rename_worlds(m), "r" + world), seed
 
 
 def retrack_pair(seed):

@@ -35,6 +35,23 @@ candidates, the fixpoints and each world pair's cover and each cover's
 witness.  A level makes child decisions only at pairs in P: P ∩ L and L,
 the locally ok pairs, share their greatest zig/zag-closed subset.
 
+Bisimilarity is reflexive, and `decide` answers by reflexivity, before
+any level, a pair of models that are one structure at one world.  Call
+m and n one structure when their worlds, relation, valuation, assignment
+and tracking are equal, their child labels are the same in the same
+order and their children are pairwise one structure.  Then (m, w) and
+(n, w) are bisimilar at every world w, with Z the diagonal and H the
+identity on labels: each (u, u) agrees on atoms and constants, H is
+surjective and holds the constants' pairs (a, a), a step on one side is
+answered by the same step on the other, and each child pair (a, a) at
+its tracked worlds (u', u') is again one structure at one world, which
+by induction on generations has its own such witness.  That witness
+reads m alone, not n nor w, so structurally equal models share it: the
+context builds one identity witness per model and gives it to every
+pair the shortcut answers.  The structure test is lazy, made only where
+a level would otherwise be built, memoized per model pair, and spends no
+node of the budget.
+
 The search grows H from the empty set by a pair of G(s,t) reaching the
 first label H misses, and drops a branch once (s,t) leaves H's fixpoint,
 which only shrinks as H grows.  It is complete: given a surjective H*
@@ -192,18 +209,17 @@ class _PairLevel:
     def witness(self, h: frozenset) -> BisimWitness:
         """The witness of cover `h`, shared by every pair of this level it
         covers: Z is H's fixpoint.  Each q in Z is a candidate with H ⊆
-        G(q) holding its constants' pairs, so every child pair below has a
-        level, a cover and a witness."""
+        G(q) holding its constants' pairs, so every child pair below was
+        decided bisimilar and has a witness."""
         got = self.witnesses.get(h)
         if got is None:
-            m, n, levels = self.m, self.n, self.ctx.levels
+            m, n, ctx = self.m, self.n, self.ctx
             z = self.fixpoint(h)
             child_witnesses = {}
             for (u, v) in z:
-                for a, b in h | _constant_pairs(m, n, u, v, self.ctx.vocab):
+                for a, b in h | _constant_pairs(m, n, u, v, ctx.vocab):
                     wa, wb = m.tracking[u][a], n.tracking[v][b]
-                    child = levels[m.children[a], n.children[b]]
-                    child_witnesses[a, b, wa, wb] = child.witness(child.cover(wa, wb))
+                    child_witnesses[a, b, wa, wb] = ctx.witness(m.children[a], n.children[b], wa, wb)
             got = self.witnesses[h] = BisimWitness(z=z, h=h, child_witnesses=child_witnesses)
         return got
 
@@ -229,6 +245,9 @@ class _Ctx:
         self.nodes = 0
         # Keyed by the model objects, which hash by identity.
         self.levels: dict[tuple[GenealogicalModel, GenealogicalModel], _PairLevel] = {}
+        self.equal: dict[tuple[GenealogicalModel, GenealogicalModel], bool] = {}
+        self.identity_covers: dict[GenealogicalModel, frozenset] = {}
+        self.identities: dict[GenealogicalModel, BisimWitness] = {}
         # Per model under `roots`: its successor table and each world's
         # plain-bisimilarity class, ids shared by all.  Split every
         # (submodel, world) by atoms, then by class and successors'
@@ -254,15 +273,78 @@ class _Ctx:
             self.classes.setdefault(m, {})[w] = c
 
     def decide(self, m, n, s, t) -> Optional[frozenset]:
-        """The cover of (s, t) at the level of (m, n), or None when (m, s)
-        and (n, t) are not bisimilar, at once when they are not plainly
-        bisimilar."""
+        """A cover of (s, t) for the models (m, n), or None when (m, s) and
+        (n, t) are not bisimilar.  At once when they are not plainly
+        bisimilar, or when they are one structure at one world (the
+        identity H); else the cover found at the level of (m, n)."""
         if self.classes[m][s] != self.classes[n][t]:
             return None
+        if s == t and self._equal(m, n):
+            h = self.identity_covers.get(m)
+            if h is None:
+                h = self.identity_covers[m] = frozenset((a, a) for a in m.children)
+            return h
         level = self.levels.get((m, n))
         if level is None:
             level = self.levels[m, n] = _PairLevel(self, m, n)
         return level.cover(s, t)
+
+    def witness(self, m, n, s, t) -> BisimWitness:
+        """The witness of a pair `decide` found bisimilar."""
+        if s == t and self._equal(m, n):
+            return self._identity(m)
+        level = self.levels[m, n]
+        return level.witness(level.cover(s, t))
+
+    def _equal(self, m, n) -> bool:
+        """Whether m and n are one structure: equal worlds, relation,
+        valuation, assignment and tracking, the same child labels in the
+        same order, and children pairwise one structure.  Memoized per
+        pair; each pair's children are settled before the pair."""
+        memo = self.equal
+        got = memo.get((m, n))
+        if got is not None:
+            return got
+        stack = [(m, n, False)]
+        while stack:
+            a, b, expanded = stack.pop()
+            if expanded:
+                memo[a, b] = all(memo[pair] for pair in zip(a.children.values(), b.children.values()))
+            elif (a, b) not in memo:
+                # Overwritten by the expanded entry before any parent reads it.
+                memo[a, b] = a is b
+                if a is not b and (
+                    a.worlds == b.worlds
+                    and a.relation == b.relation
+                    and a.valuation == b.valuation
+                    and a.assignment == b.assignment
+                    and a.tracking == b.tracking
+                    and list(a.children) == list(b.children)
+                ):
+                    stack.append((a, b, True))
+                    stack.extend((ca, cb, False) for ca, cb in zip(a.children.values(), b.children.values()))
+        return memo[m, n]
+
+    def _identity(self, m) -> BisimWitness:
+        """The identity witness of m, built once per model: Z the
+        diagonal, H the identity on child labels and each (a, a, w, w)
+        pointing to child a's identity witness."""
+        built = self.identities
+        stack = [m]
+        while stack:
+            c = stack[-1]
+            pending = [child for child in c.children.values() if child not in built]
+            if pending:
+                stack.extend(pending)
+                continue
+            stack.pop()
+            if c not in built:
+                built[c] = BisimWitness(
+                    z=frozenset((w, w) for w in c.worlds),
+                    h=frozenset((a, a) for a in c.children),
+                    child_witnesses={(a, a, w, w): built[c.children[a]] for row in c.tracking.values() for a, w in row.items()},
+                )
+        return built[m]
 
 
 def bisimilar(
@@ -278,11 +360,14 @@ def bisimilar(
         raise ValueError(f"the bisimulation budget must be a non-negative int, not {budget!r}")
     if vocab is None:
         vocab = model_vocabulary(pm.model, pn.model)
-    ctx = _Ctx(vocab, budget, pm.model, pn.model)
-    h = ctx.decide(pm.model, pn.model, pm.world, pn.world)
-    if h is None:
+    m, n, s, t = pm.model, pn.model, pm.world, pn.world
+    # Pointed worlds that disagree on an atom need no context.
+    if any((s in m.valuation.get(p, ())) != (t in n.valuation.get(p, ())) for p in vocab.props):
         return BisimVerdict(False, None)
-    return BisimVerdict(True, ctx.levels[pm.model, pn.model].witness(h))
+    ctx = _Ctx(vocab, budget, m, n)
+    if ctx.decide(m, n, s, t) is None:
+        return BisimVerdict(False, None)
+    return BisimVerdict(True, ctx.witness(m, n, s, t))
 
 
 # --------------------------------------------------------------------------

@@ -214,6 +214,21 @@ def retrack(m: GenealogicalModel, world: str, a: str, b: str) -> GenealogicalMod
     return replace_model(m, tracking={**m.tracking, world: {**row, a: row[b], b: row[a]}})
 
 
+def rename_worlds(m: GenealogicalModel) -> GenealogicalModel:
+    """Copy `m` with every world `w` of every generation renamed `rw`.
+    The copy is bisimilar to `m` at each renamed world, but no submodel
+    of it has the structure of the one it copies, so reflexivity cannot
+    answer the pair and the cover search must."""
+    return GenealogicalModel(
+        tuple("r" + w for w in m.worlds),
+        frozenset(("r" + u, "r" + v) for u, v in m.relation),
+        {p: frozenset("r" + w for w in ws) for p, ws in m.valuation.items()},
+        {label: rename_worlds(child) for label, child in m.children.items()},
+        {"r" + w: row for w, row in m.assignment.items()},
+        {"r" + w: {a: "r" + v for a, v in row.items()} for w, row in m.tracking.items()},
+    )
+
+
 # --------------------------------------------------------------------------
 # Formula and sentence generation
 

@@ -105,7 +105,10 @@ class Formula(Record):
     (first `check_sentence`).  They are not fields, so equality, `repr`,
     `__match_args__` and the pickled state of a node ignore them; an
     unpickled or copied node fills them again on first use.  Racing
-    threads at worst compute a value twice.
+    threads at worst compute a value twice.  Each `__init__` sets `_hash`
+    and `_free` to None, so a read never raises: a raised and caught
+    `AttributeError` on the first read costs more than both stores, and
+    `getattr(node, name, None)` slows every later read.
     """
 
     __slots__ = ("_hash", "_free", "_sentence")
@@ -114,17 +117,20 @@ class Formula(Record):
         cls.__hash__ = Formula.__hash__  # a class body defining __eq__ sets it to None
 
     def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
+        h = self._hash
+        if h is None:
             # The children cache their own hashes, so this costs one level.
             h = hash((type(self), *self._values()))
             _set(self, "_hash", h)
-            return h
+        return h
 
 
 class Top(Formula):
     __slots__ = ()
+
+    def __init__(self):
+        _set(self, "_hash", None)
+        _set(self, "_free", None)
 
     def __eq__(self, other):
         return True if other.__class__ is self.__class__ else NotImplemented
@@ -135,6 +141,8 @@ class Prop(Formula):
 
     def __init__(self, name: str):
         _set(self, "name", name)
+        _set(self, "_hash", None)
+        _set(self, "_free", None)
 
     def __eq__(self, other):
         return self.name == other.name if other.__class__ is self.__class__ else NotImplemented
@@ -145,6 +153,8 @@ class FormulaVar(Formula):
 
     def __init__(self, name: str):
         _set(self, "name", name)
+        _set(self, "_hash", None)
+        _set(self, "_free", None)
 
     def __eq__(self, other):
         return self.name == other.name if other.__class__ is self.__class__ else NotImplemented
@@ -155,6 +165,8 @@ class Not(Formula):
 
     def __init__(self, operand: Formula):
         _set(self, "operand", operand)
+        _set(self, "_hash", None)
+        _set(self, "_free", None)
 
     def __eq__(self, other):
         # A tuple compares shared children by identity first.
@@ -167,6 +179,8 @@ class And(Formula):
     def __init__(self, left: Formula, right: Formula):
         _set(self, "left", left)
         _set(self, "right", right)
+        _set(self, "_hash", None)
+        _set(self, "_free", None)
 
     def __eq__(self, other):
         return (self.left, self.right) == (other.left, other.right) if other.__class__ is self.__class__ else NotImplemented
@@ -177,6 +191,8 @@ class Box(Formula):
 
     def __init__(self, operand: Formula):
         _set(self, "operand", operand)
+        _set(self, "_hash", None)
+        _set(self, "_free", None)
 
     def __eq__(self, other):
         return (self.operand,) == (other.operand,) if other.__class__ is self.__class__ else NotImplemented
@@ -188,6 +204,8 @@ class Forall(Formula):
     def __init__(self, var: str, body: Formula):
         _set(self, "var", var)
         _set(self, "body", body)
+        _set(self, "_hash", None)
+        _set(self, "_free", None)
 
     def __eq__(self, other):
         return (self.var, self.body) == (other.var, other.body) if other.__class__ is self.__class__ else NotImplemented
@@ -201,6 +219,8 @@ class Xi(Formula):
     def __init__(self, var: str, body: Formula):
         _set(self, "var", var)
         _set(self, "body", body)
+        _set(self, "_hash", None)
+        _set(self, "_free", None)
 
     def __eq__(self, other):
         return (self.var, self.body) == (other.var, other.body) if other.__class__ is self.__class__ else NotImplemented
@@ -214,6 +234,8 @@ class QueryVar(Formula):
     def __init__(self, body: Formula, var: str):
         _set(self, "body", body)
         _set(self, "var", var)
+        _set(self, "_hash", None)
+        _set(self, "_free", None)
 
     def __eq__(self, other):
         return (self.body, self.var) == (other.body, other.var) if other.__class__ is self.__class__ else NotImplemented
@@ -227,6 +249,8 @@ class QueryConst(Formula):
     def __init__(self, body: Formula, const: str):
         _set(self, "body", body)
         _set(self, "const", const)
+        _set(self, "_hash", None)
+        _set(self, "_free", None)
 
     def __eq__(self, other):
         return (self.body, self.const) == (other.body, other.const) if other.__class__ is self.__class__ else NotImplemented
@@ -625,10 +649,9 @@ def free_vars(f: Formula) -> FreeVars:
     Agrees with `occurrences`: a `xi X` binds exactly the occurrences of
     X that some `?[ ]` below it guards, so the unguarded ones stay free.
     """
-    try:
-        return f._free
-    except AttributeError:
-        pass
+    summary = f._free
+    if summary is not None:
+        return summary
     if isinstance(f, FormulaVar):
         names = frozenset((f.name,))
         summary = FreeVars(_NONE, names, names, True)

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from gkmc.bisim import (
     DEFAULT_BUDGET,
+    BisimVerdict,
     BisimWitness,
     BudgetExceededError,
     OracleSizeError,
@@ -18,8 +19,8 @@ from gkmc.bisim import (
 from gkmc import bisim as bisim_module
 from gkmc.bisim import _Ctx, _successors, _surjective
 from gkmc.distinguish import EnumerationBudget, distinguish
-from gkmc.generate import GenSpec, break_child, dup_child, gen_model
-from gkmc.model import GenealogicalModel, PointedModel, load_model, model_vocabulary
+from gkmc.generate import GenSpec, break_child, dup_child, gen_model, rename_worlds
+from gkmc.model import GenealogicalModel, PointedModel, dump_model, load_model, model_vocabulary, replace_model
 from gkmc.semantics import holds_at
 from gkmc.syntax import Vocabulary, format_formula
 
@@ -215,9 +216,13 @@ def test_search_agrees_with_oracle_on_break_child_pairs():
 
 
 def test_budget_exhaustion_is_distinct():
+    # Against its world-renamed copy, which reflexivity cannot answer, so
+    # the cover search runs and spends the budget.
     m = gen_model(GenSpec(seed=7, max_worlds=4, max_children=2, max_depth=2, prop_count=1))
+    pm, pr = _pointed(m), _pointed(rename_worlds(m))
     with pytest.raises(BudgetExceededError):
-        bisimilar(_pointed(m), _pointed(m), budget=0)
+        bisimilar(pm, pr, budget=0)
+    assert bisimilar(pm, pr).bisimilar
 
 
 @pytest.mark.parametrize("budget", [-1, 1.5, "5"])
@@ -552,6 +557,102 @@ def test_wider_generated_models_bisimilar_to_themselves_and_dup_child(seed, pick
         verdict = bisimilar(pa, pb)
         assert verdict.bisimilar
         assert check_witness(pa, pb, verdict.witness).ok
+
+
+# --- reflexivity ------------------------------------------------------------
+
+
+@pytest.fixture
+def levels_built(monkeypatch):
+    """The (left, right) model pair of every level the decider builds."""
+    built = []
+
+    class Recorded(bisim_module._PairLevel):
+        def __init__(self, ctx, m, n):
+            built.append((m, n))
+            super().__init__(ctx, m, n)
+
+    monkeypatch.setattr(bisim_module, "_PairLevel", Recorded)
+    return built
+
+
+def _reloaded(m):
+    return load_model(dump_model(m))
+
+
+def test_separately_loaded_copies_are_decided_by_reflexivity(levels_built):
+    m = gen_model(GenSpec(seed=0, **W8))
+    a, b = _reloaded(m), _reloaded(m)
+    assert a.children and a is not b
+    for w in a.worlds:
+        pa, pb = PointedModel(a, w), PointedModel(b, w)
+        verdict = bisimilar(pa, pb, budget=0)
+        assert verdict.bisimilar
+        assert verdict.witness.z == frozenset((u, u) for u in a.worlds)
+        assert check_witness(pa, pb, verdict.witness).ok
+    assert levels_built == []
+
+
+def _moved_tracking(m):
+    """m with its first movable tracking entry moved to another world of
+    its child, or None when no child has two worlds."""
+    for w in m.worlds:
+        for label, tracked in sorted(m.tracking[w].items()):
+            others = [v for v in m.children[label].worlds if v != tracked]
+            if others:
+                return replace_model(m, tracking={**m.tracking, w: {**m.tracking[w], label: others[0]}})
+    return None
+
+
+def test_a_copy_differing_in_one_entry_goes_through_the_search(levels_built):
+    # One tracking entry or one child valuation apart: no pair of roots is
+    # one structure, so every positive verdict comes from a root level.
+    searched = {"tracking": 0, "valuation": 0}
+    for seed in range(40):
+        m = gen_model(GenSpec(seed=seed, **TINY))
+        if not m.children:
+            continue
+        label = sorted(m.children)[seed % len(m.children)]
+        variants = {
+            "tracking": _moved_tracking(m),
+            "valuation": break_child(m, label, "p", m.children[label].worlds[0]),
+        }
+        for kind, variant in variants.items():
+            if variant is None:
+                continue
+            a, b = _reloaded(m), _reloaded(variant)
+            for w in a.worlds:
+                pa, pb = PointedModel(a, w), PointedModel(b, w)
+                verdict = bisimilar(pa, pb)
+                assert verdict.bisimilar == brute_force_bisim(pa, pb)
+                if verdict.bisimilar:
+                    assert check_witness(pa, pb, verdict.witness).ok
+                    assert (a, b) in levels_built
+                searched[kind] += (a, b) in levels_built
+    assert all(searched.values())
+
+
+def test_a_copy_at_another_world_is_decided_by_the_search(levels_built):
+    positives = 0
+    for seed in range(40):
+        m = gen_model(GenSpec(seed=seed, **TINY))
+        a, b = _reloaded(m), _reloaded(m)
+        for s, t in itertools.permutations(a.worlds, 2):
+            pa, pb = PointedModel(a, s), PointedModel(b, t)
+            verdict = bisimilar(pa, pb)
+            assert verdict.bisimilar == brute_force_bisim(pa, pb)
+            if verdict.bisimilar:
+                assert check_witness(pa, pb, verdict.witness).ok
+                assert (a, b) in levels_built
+                positives += 1
+    assert positives
+
+
+def test_pointed_worlds_apart_on_an_atom_build_no_context(monkeypatch):
+    m = gen_model(GenSpec(seed=2, **TINY))
+    n = _flip_prop(m, "p", m.worlds[0])
+    monkeypatch.setattr(bisim_module, "_Ctx", None)
+    assert bisimilar(_pointed(m), _pointed(n)) == BisimVerdict(False, None)
 
 
 # --- cover rejection ------------------------------------------------------

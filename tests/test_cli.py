@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from gkmc.cli import main
 from gkmc.bisim import WitnessReport, check_witness, witness_from_document
-from gkmc.generate import GenSpec, dup_child, gen_model, gen_sentence
+from gkmc.generate import GenSpec, dup_child, gen_model, gen_sentence, rename_worlds
 from gkmc.model import PointedModel, dump_model, load_model, load_model_file
 from gkmc.syntax import Vocabulary, format_formula
 
@@ -280,16 +280,16 @@ def test_bisim_unknown_world_in_the_second_model(capsys):
     assert json.loads(out) == {"error": "input", "message": f"unknown world 'nowhere' in {fixture}"}
 
 
-def test_bisim_budget_exhausted_is_unknown(capsys):
-    code, out = run(
-        capsys,
-        "bisim",
-        fixture_path("de_dicto.gkm.json"), "s0",
-        fixture_path("de_dicto.gkm.json"), "s0",
-        "--budget", "0",
-    )
+def test_bisim_budget_exhausted_is_unknown(capsys, tmp_path):
+    # Against its world-renamed copy, which reflexivity cannot answer, so
+    # the cover search runs and spends the budget.
+    renamed = tmp_path / "renamed.gkm.json"
+    renamed.write_text(dump_model(rename_worlds(load_model_file(fixture_path("de_dicto.gkm.json")))))
+    code, out = run(capsys, "bisim", fixture_path("de_dicto.gkm.json"), "s0", str(renamed), "rs0", "--budget", "0")
     assert code == 3
     assert "unknown" in out
+    code, out = run(capsys, "bisim", fixture_path("de_dicto.gkm.json"), "s0", str(renamed), "rs0")
+    assert (code, out) == (0, "bisimilar\n")
 
 
 @pytest.mark.parametrize("flags", [["--budget", "-1"]], ids=["--budget"])

@@ -11,7 +11,7 @@ import pytest
 
 from gkmc.bisim import BisimVerdict, BisimWitness, BudgetExceededError, bisimilar, brute_force_bisim
 from gkmc.distinguish import EnumerationBudget, distinguish, enumerate_sentences
-from gkmc.generate import GenSpec, SplitMix64, break_child, derive, dup_child, gen_model
+from gkmc.generate import GenSpec, SplitMix64, break_child, derive, dup_child, gen_model, rename_worlds
 from gkmc.model import GenealogicalModel, PointedModel, load_model, model_vocabulary
 from gkmc.semantics import Evaluator, holds_at
 from gkmc.syntax import Prop, Vocabulary, check_sentence, format_formula, parse
@@ -480,9 +480,10 @@ def test_a_matching_pair_proof_returns_a_verdict_within_the_proof_budget(monkeyp
 
 def test_a_costly_proof_gives_up_within_the_proof_budget(empty_stream):
     # A bisimilar pair whose search needs about 4,000 nodes: the proof
-    # stops after _PROOF_BUDGET of them and the whole stream is read.
+    # stops after _PROOF_BUDGET of them and the whole stream is read.  The
+    # right side's worlds are renamed, so reflexivity answers no child pair.
     m = gen_model(GenSpec(seed=0, max_worlds=24, max_children=8, max_depth=3, edge_density=0.3))
-    pm, pn = PointedModel(m, "s0"), PointedModel(dup_child(m, "n0"), "s0")
+    pm, pn = PointedModel(m, "s0"), PointedModel(rename_worlds(dup_child(m, "n0")), "rs0")
     vocab = model_vocabulary(pm.model, pn.model)
     with pytest.raises(BudgetExceededError):
         bisimilar(pm, pn, vocab=vocab, budget=_distinguish_module._PROOF_BUDGET)
