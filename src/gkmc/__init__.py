@@ -36,7 +36,6 @@ from .model import (
 )
 from .semantics import (
     Evaluator,
-    InterpretationPair,
     NotASentenceError,
     UndefinedInterpretationError,
     evaluate_sentence,

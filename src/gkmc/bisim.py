@@ -29,7 +29,7 @@ that computes P on construction by partition refinement (Kanellakis &
 Smolka 1990) over the disjoint union of every (submodel, world) of both
 input trees; restricted to two of its components, P of a disjoint union
 is P of those two, since a world's class depends on the worlds it
-reaches alone.  So `decide` answers None at once for a pair outside P,
+reaches alone.  So `decide` answers False at once for a pair outside P,
 building no level, the one table per model pair that holds G, the
 candidates, the fixpoints and each world pair's cover and each cover's
 witness.  A level makes child decisions only at pairs in P: P ∩ L and L,
@@ -152,7 +152,7 @@ class _PairLevel:
             (a, b)
             for a in self.labels_m
             for b in self.labels_n
-            if self.ctx.decide(m.children[a], n.children[b], m.tracking[u][a], n.tracking[v][b]) is not None
+            if self.ctx.decide(m.children[a], n.children[b], m.tracking[u][a], n.tracking[v][b])
         )
         return _surjective(g, self.labels_m, self.labels_n) and _constant_pairs(m, n, u, v, self.ctx.vocab) <= g
 
@@ -246,7 +246,6 @@ class _Ctx:
         # Keyed by the model objects, which hash by identity.
         self.levels: dict[tuple[GenealogicalModel, GenealogicalModel], _PairLevel] = {}
         self.equal: dict[tuple[GenealogicalModel, GenealogicalModel], bool] = {}
-        self.identity_covers: dict[GenealogicalModel, frozenset] = {}
         self.identities: dict[GenealogicalModel, BisimWitness] = {}
         # Per model under `roots`: its successor table and each world's
         # plain-bisimilarity class, ids shared by all.  Split every
@@ -272,22 +271,18 @@ class _Ctx:
         for (m, w), c in zip(nodes, cls):
             self.classes.setdefault(m, {})[w] = c
 
-    def decide(self, m, n, s, t) -> Optional[frozenset]:
-        """A cover of (s, t) for the models (m, n), or None when (m, s) and
-        (n, t) are not bisimilar.  At once when they are not plainly
-        bisimilar, or when they are one structure at one world (the
-        identity H); else the cover found at the level of (m, n)."""
+    def decide(self, m, n, s, t) -> bool:
+        """Whether (m, s) and (n, t) are bisimilar.  At once when they are
+        not plainly bisimilar, or when they are one structure at one world;
+        else whether the level of (m, n) finds a cover of (s, t)."""
         if self.classes[m][s] != self.classes[n][t]:
-            return None
+            return False
         if s == t and self._equal(m, n):
-            h = self.identity_covers.get(m)
-            if h is None:
-                h = self.identity_covers[m] = frozenset((a, a) for a in m.children)
-            return h
+            return True
         level = self.levels.get((m, n))
         if level is None:
             level = self.levels[m, n] = _PairLevel(self, m, n)
-        return level.cover(s, t)
+        return level.cover(s, t) is not None
 
     def witness(self, m, n, s, t) -> BisimWitness:
         """The witness of a pair `decide` found bisimilar."""
@@ -365,7 +360,7 @@ def bisimilar(
     if any((s in m.valuation.get(p, ())) != (t in n.valuation.get(p, ())) for p in vocab.props):
         return BisimVerdict(False, None)
     ctx = _Ctx(vocab, budget, m, n)
-    if ctx.decide(m, n, s, t) is None:
+    if not ctx.decide(m, n, s, t):
         return BisimVerdict(False, None)
     return BisimVerdict(True, ctx.witness(m, n, s, t))
 

@@ -15,13 +15,15 @@ and prints nothing.  `main` alone prints a result and alone maps an
 exception to an exit code: a `ValueError`, which every input error is,
 gives 2 and `{"error": "input"}`; anything else gives 4 and a traceback
 on stderr.  An error report escapes what stdout cannot encode, so it
-always prints.
+always prints.  A stdout closed by its reader leaves the exit code that
+of the result being printed, and nothing more is written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import traceback
 
@@ -125,14 +127,7 @@ def _cmd_eval(args):
 def _cmd_bisim(args):
     m = _load_valid_model(args.model1)
     n = _load_valid_model(args.model2)
-    if args.vocab:
-        vocab = _load_vocab(args.vocab)
-        for path, side in ((args.model1, m), (args.model2, n)):
-            mentioned = model_vocabulary(side)
-            if not (mentioned.props <= vocab.props and mentioned.constants <= vocab.constants):
-                raise ValueError(f"model {path} mentions names outside the vocabulary")
-    else:
-        vocab = model_vocabulary(m, n)
+    vocab = model_vocabulary(m, n)
     pm, pn = _pointed_pair(args, m, n)
 
     try:
@@ -231,7 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("world2")
     p.add_argument("--witness", help="write the witness JSON here when bisimilar")
     p.add_argument("--oracle", action="store_true", help="cross-check with the brute-force oracle (tiny inputs)")
-    p.add_argument("--vocab", help="vocabulary file; models mentioning names outside it are rejected")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET, help="search node budget")
     p.set_defaults(func=_cmd_bisim)
 
@@ -274,7 +268,14 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
 
     def report(code, payload, text) -> int:
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")) if args.json else text)
+        try:
+            print(json.dumps(payload, sort_keys=True, separators=(",", ":")) if args.json else text, flush=True)
+        except BrokenPipeError:
+            # The reader closed stdout: the result stands, and what stdout
+            # still buffers goes to the null device, so exit cannot fail.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return code
 
     # Printing a result stays inside the try: a result stdout cannot encode

@@ -239,10 +239,11 @@ def enumerate_sentences(budget: EnumerationBudget) -> Iterator[Formula]:
 
 def distinguish(pm: PointedModel, pn: PointedModel, budget: EnumerationBudget) -> Optional[Formula]:
     """First enumerated sentence the two pointed models disagree on, or
-    None when the whole fragment agrees.  Every hit is re-verified by an
-    independent unmemoized evaluation before being returned.  Just before
-    the last cost batch, a checked proof of bisimilarity answers None
-    without reading that batch."""
+    None when the whole fragment agrees.  Each sentence is asked at both
+    pointed worlds on one shared evaluator, and every hit is re-verified
+    by an independent unmemoized evaluation before being returned.  Just
+    before the last cost batch, a checked proof of bisimilarity answers
+    None without reading that batch."""
     stream = _stream_for(budget)
     sentences = enumerate_sentences(budget)
     ev = Evaluator()  # one record per model, so both sides share it
@@ -255,9 +256,7 @@ def distinguish(pm: PointedModel, pn: PointedModel, budget: EnumerationBudget) -
         # entering it; islice stops without asking for the next sentence.
         end = stream.end(cost)
         for sentence in itertools.islice(sentences, end - start):
-            sat_m = pm.world in ev.sentence_worlds(pm.model, sentence)
-            sat_n = pn.world in ev.sentence_worlds(pn.model, sentence)
-            if sat_m != sat_n:
+            if ev.holds_at(pm.model, pm.world, sentence) != ev.holds_at(pn.model, pn.world, sentence):
                 fresh_m = holds_at(pm.model, pm.world, sentence, use_memo=False)
                 fresh_n = holds_at(pn.model, pn.world, sentence, use_memo=False)
                 if fresh_m == fresh_n:

@@ -26,8 +26,10 @@ the model's world bits and memo table, built on the first visit, and
 its successor masks, built at the first `[]`.  The memo stores closed
 nodes only, under the node alone, as their value depends on the model
 alone; C2 makes each `xi` of a sentence closed, so every unfolding of
-`X` is a lookup.  Only the public entry points turn a mask back into a
-`frozenset` of world names.
+`X` is a lookup.  `holds_at` answers satisfaction at one world, the
+paper's pointed-model question, by testing one bit of the mask;
+`sentence_worlds` and `formula_worlds` turn the mask into a `frozenset`
+of world names.
 """
 
 from __future__ import annotations
@@ -46,11 +48,9 @@ from .syntax import (
     Prop,
     QueryConst,
     QueryVar,
-    Record,
     SentenceDiagnostics,
     Top,
     Xi,
-    _set,
     check_sentence,
     free_vars,
 )
@@ -71,16 +71,6 @@ class UndefinedInterpretationError(RuntimeError):
     """
 
 
-class InterpretationPair(Record):
-    """The two partial maps threaded through evaluation."""
-
-    __slots__ = __match_args__ = ("model_vars", "formula_vars")
-
-    def __init__(self, model_vars: Mapping[str, str], formula_vars: Mapping[str, Formula]):
-        _set(self, "model_vars", model_vars)  # variable -> child label of the current model
-        _set(self, "formula_vars", formula_vars)  # variable -> the node it stands for, e.g. its xi
-
-
 class Evaluator:
     """Evaluates formulas, optionally sharing memo tables across calls.
 
@@ -95,34 +85,44 @@ class Evaluator:
     each formula level costs one Python frame: the stack depth is
     generations times formula levels.
 
-    `sentence_worlds` checks its argument with `check_sentence`, whose
-    verdict is cached on the formula node, so evaluating an already
-    checked sentence repeats no check.
+    `holds_at` and `sentence_worlds` check their argument with
+    `check_sentence`, which reads a sentence's verdict off its cached
+    `free_vars` summary.
     """
 
     def __init__(self, use_memo: bool = True):
         self._use_memo = use_memo
         self._records: dict[GenealogicalModel, _ModelRecord] = {}
 
+    def holds_at(self, m: GenealogicalModel, world: str, sentence: Formula) -> bool:
+        """Whether the sentence holds at `world` of `m`.  Raises `ValueError`
+        on a world `m` lacks, then `NotASentenceError` on a non-sentence."""
+        r = self._record(m)
+        bit = r.bits.get(world)
+        if bit is None:
+            raise ValueError(f"unknown world {world!r}")
+        _check(sentence)
+        return bool(self._eval(r, sentence, {}, {}) & bit)
+
     def sentence_worlds(self, m: GenealogicalModel, sentence: Formula) -> frozenset[str]:
-        diagnostics = check_sentence(sentence)
-        if not diagnostics.verdict:
-            raise NotASentenceError(diagnostics)
+        _check(sentence)
         r = self._record(m)
         return r.world_set(self._eval(r, sentence, {}, {}))
 
-    def formula_worlds(self, m: GenealogicalModel, f: Formula, interp: InterpretationPair) -> frozenset[str]:
+    def formula_worlds(self, m: GenealogicalModel, f: Formula, model_vars: Mapping, formula_vars: Mapping) -> frozenset[str]:
         """Any formula under explicit interpretations, with no sentence
-        check: an open one may raise `UndefinedInterpretationError`."""
+        check: `model_vars` maps model variables to child labels of `m`,
+        `formula_vars` formula variables to the nodes they stand for.  An
+        open formula may raise `UndefinedInterpretationError`."""
         r = self._record(m)
-        return r.world_set(self._eval(r, f, dict(interp.model_vars), dict(interp.formula_vars)))
+        return r.world_set(self._eval(r, f, model_vars, formula_vars))
 
     # -- internals ----------------------------------------------------
 
     def _record(self, m: GenealogicalModel) -> _ModelRecord:
         return self._records.get(m) or self._records.setdefault(m, _ModelRecord(m, self._use_memo))
 
-    def _eval(self, r: _ModelRecord, f: Formula, mv: dict, fv: dict) -> int:
+    def _eval(self, r: _ModelRecord, f: Formula, mv: Mapping, fv: Mapping) -> int:
         t = type(f)
         if t is FormulaVar:  # stands for its node: in a sentence, its closed `xi`
             bound = fv.get(f.name)
@@ -185,17 +185,22 @@ class Evaluator:
         return worlds
 
 
+def _check(sentence: Formula) -> None:
+    diagnostics = check_sentence(sentence)
+    if not diagnostics.verdict:
+        raise NotASentenceError(diagnostics)
+
+
 class _ModelRecord:
     """One model's memo table and bitmask tables: `bits` maps each world to
     its bit, and `succ`, built at the first `[]`, pairs each world's bit
-    with its successor mask.  `sets` caches the frozenset of each mask."""
+    with its successor mask."""
 
     def __init__(self, m: GenealogicalModel, use_memo: bool):
         self.model = m
         self.bits = {w: 1 << i for i, w in enumerate(m.worlds)}
         self.full = (1 << len(m.worlds)) - 1
         self.memo: Optional[dict] = {} if use_memo else None
-        self.sets: dict[int, frozenset[str]] = {}
 
     @cached_property
     def succ(self) -> tuple[tuple[int, int], ...]:
@@ -205,10 +210,7 @@ class _ModelRecord:
         return tuple((self.bits[w], s) for w, s in succ.items())
 
     def world_set(self, mask: int) -> frozenset[str]:
-        ws = self.sets.get(mask)
-        if ws is None:
-            ws = self.sets[mask] = frozenset(w for w, bit in self.bits.items() if mask & bit)
-        return ws
+        return frozenset(w for w, bit in self.bits.items() if mask & bit)
 
 
 def evaluate_sentence(m: GenealogicalModel, sentence: Formula, *, use_memo: bool = True) -> frozenset[str]:
@@ -217,7 +219,5 @@ def evaluate_sentence(m: GenealogicalModel, sentence: Formula, *, use_memo: bool
 
 
 def holds_at(m: GenealogicalModel, world: str, sentence: Formula, *, use_memo: bool = True) -> bool:
-    if world not in m.worlds:
-        raise ValueError(f"unknown world {world!r}")
-    return world in evaluate_sentence(m, sentence, use_memo=use_memo)
-
+    """Whether the sentence holds at `world` of `m`, on a fresh evaluator."""
+    return Evaluator(use_memo).holds_at(m, world, sentence)

@@ -38,9 +38,9 @@ Formula values are immutable and compare structurally; there is no
 alpha-equivalence.  Trees built separately (by `parse` or by the
 constructors) are equal and hash equal when their structure is, and
 nodes of different types never compare equal.  Each node caches its
-hash, its free-variable summary and its `check_sentence` result the
-first time they are asked for (see `Formula`), so a tree shared by many
-memo tables, sets and checks pays for each once.
+hash and its free-variable summary the first time they are asked for
+(see `Formula`), so a tree shared by many memo tables, sets and sentence
+checks pays for each once.
 """
 
 from __future__ import annotations
@@ -101,17 +101,17 @@ class Formula(Record):
     node class hashes by `Formula.__hash__`.
 
     Slots cache per-node facts that never change once the node exists:
-    `_hash` (first `hash()`), `_free` (first `free_vars`) and `_sentence`
-    (first `check_sentence`).  They are not fields, so equality, `repr`,
-    `__match_args__` and the pickled state of a node ignore them; an
-    unpickled or copied node fills them again on first use.  Racing
-    threads at worst compute a value twice.  Each `__init__` sets `_hash`
-    and `_free` to None, so a read never raises: a raised and caught
+    `_hash` (first `hash()`) and `_free` (first `free_vars`, which also
+    gives `check_sentence` its verdict).  They are not fields, so
+    equality, `repr`, `__match_args__` and the pickled state of a node
+    ignore them; an unpickled or copied node fills them again on first
+    use.  Racing threads at worst compute a value twice.  Each `__init__`
+    sets both to None, so a read never raises: a raised and caught
     `AttributeError` on the first read costs more than both stores, and
     `getattr(node, name, None)` slows every later read.
     """
 
-    __slots__ = ("_hash", "_free", "_sentence")
+    __slots__ = ("_hash", "_free")
 
     def __init_subclass__(cls):
         cls.__hash__ = Formula.__hash__  # a class body defining __eq__ sets it to None
@@ -704,23 +704,23 @@ class SentenceDiagnostics(Record):
         _set(self, "violations", violations)
 
 
+_SENTENCE = SentenceDiagnostics(True, ())
+
+
 def check_sentence(f: Formula) -> SentenceDiagnostics:
     """Decide whether `f` is a sentence, i.e. admissible for evaluation.
 
     Three conditions, freeness always computed relative to the subformula
     under inspection: the whole formula is closed; every `xi`-subformula
     is closed; every `?[ ]` body has no free model variables.  The verdict
-    is read off the cached `free_vars` summary; only a rejected formula is
-    walked, for its violation paths.  Re-checking returns the same object.
+    is read off the cached `free_vars` summary, and every sentence gets
+    the one shared `SentenceDiagnostics(True, ())`; a rejected formula is
+    walked on each check, for its violation paths.
     """
-    cached = getattr(f, "_sentence", None)
-    if cached is not None:
-        return cached
     model, _, formula, ok = free_vars(f)
-    closed = ok and not model and not formula
-    diagnostics = SentenceDiagnostics(closed, () if closed else _violations(f))
-    _set(f, "_sentence", diagnostics)
-    return diagnostics
+    if ok and not model and not formula:
+        return _SENTENCE
+    return SentenceDiagnostics(False, _violations(f))
 
 
 def _violations(f: Formula) -> tuple[SentenceViolation, ...]:

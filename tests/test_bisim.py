@@ -681,7 +681,7 @@ def _retracked_pair():
 def test_cover_rejection_decides_a_refinement_candidate_non_bisimilar():
     pm, pn = _retracked_pair()
     ctx = _Ctx(model_vocabulary(pm.model, pn.model), DEFAULT_BUDGET, pm.model, pn.model)
-    assert ctx.decide(pm.model, pn.model, pm.world, pn.world) is None
+    assert not ctx.decide(pm.model, pn.model, pm.world, pn.world)
     assert (pm.world, pn.world) in ctx.levels[pm.model, pn.model].candidates
     assert not bisimilar(pm, pn).bisimilar
     assert not brute_force_bisim(pm, pn)
@@ -731,7 +731,7 @@ def _reference_candidates(ctx, m, n):
                 continue
             g = {
                 (a, b) for a in m.children for b in n.children
-                if ctx.decide(m.children[a], n.children[b], m.tracking[u][a], n.tracking[v][b]) is not None
+                if ctx.decide(m.children[a], n.children[b], m.tracking[u][a], n.tracking[v][b])
             }
             constants = {(m.assignment.get(u, {}).get(c), n.assignment.get(v, {}).get(c)) for c in ctx.vocab.constants}
             surjective = {a for a, _ in g} == set(m.children) and {b for _, b in g} == set(n.children)
@@ -841,7 +841,7 @@ def test_refinement_runs_until_the_union_is_stable():
 def test_decide_outside_one_class_builds_no_level():
     cycle, chain = _cycle_and_longer_chain()
     ctx = _Ctx(model_vocabulary(cycle, chain), DEFAULT_BUDGET, cycle, chain)
-    assert ctx.decide(cycle, chain, "a", "a0") is None
+    assert not ctx.decide(cycle, chain, "a", "a0")
     assert not ctx.levels
 
 
@@ -849,7 +849,7 @@ def test_wide_dup_child_cascade_stays_inside_plain_classes():
     m = gen_model(GenSpec(seed=4, max_worlds=16, max_children=6, max_depth=3, edge_density=0.4))
     d = dup_child(m, sorted(m.children)[0])
     ctx = _Ctx(model_vocabulary(m, d), DEFAULT_BUDGET, m, d)
-    assert ctx.decide(m, d, m.worlds[0], d.worlds[0]) is not None
+    assert ctx.decide(m, d, m.worlds[0], d.worlds[0])
     # A level per pair of plainly bisimilar submodels met: 89, not 347.
     assert len(ctx.levels) < 150
 
@@ -858,10 +858,10 @@ def test_wide_dup_child_cascade_decides_through_few_levels():
     m = gen_model(GenSpec(seed=4, max_worlds=16, max_children=6, max_depth=3, edge_density=0.4))
     d = dup_child(m, sorted(m.children)[0])
     ctx = _Ctx(model_vocabulary(m, d), DEFAULT_BUDGET, m, d)
-    h = ctx.decide(m, d, m.worlds[0], d.worlds[0])
-    assert h is not None
+    assert ctx.decide(m, d, m.worlds[0], d.worlds[0])
     assert len(ctx.levels) < 1000
-    witness = ctx.levels[m, d].witness(h)
+    level = ctx.levels[m, d]
+    witness = level.witness(level.cover(m.worlds[0], d.worlds[0]))
     assert check_witness(PointedModel(m, m.worlds[0]), PointedModel(d, d.worlds[0]), witness).ok
 
 
@@ -878,7 +878,7 @@ def test_search_agrees_with_oracle_on_retrack_pairs():
         for w in m.worlds:
             pm, pr = PointedModel(m, w), PointedModel(r, w)
             ctx = _Ctx(model_vocabulary(m, r), DEFAULT_BUDGET, m, r)
-            found = ctx.decide(m, r, w, w) is not None
+            found = ctx.decide(m, r, w, w)
             assert found == bisimilar(pm, pr).bisimilar == brute_force_bisim(pm, pr)
             cover_rejections += not found and (w, w) in ctx.levels[m, r].candidates
     # The population reaches the case only the cover search decides.

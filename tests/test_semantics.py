@@ -1,15 +1,14 @@
 import gc
-import importlib.util
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkmc.distinguish import EnumerationBudget, enumerate_sentences
 from gkmc.generate import GenSpec, gen_model, gen_sentence
 from gkmc.model import load_model, load_model_file, model_vocabulary
 from gkmc.semantics import (
     Evaluator,
-    InterpretationPair,
     NotASentenceError,
     UndefinedInterpretationError,
     evaluate_sentence,
@@ -32,6 +31,8 @@ from gkmc.syntax import (
     free_vars,
     parse,
 )
+
+from conftest import load_script
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -97,7 +98,7 @@ def test_boolean_dualities_on_generated_inputs():
 
 def test_forall_on_childless_model_is_everything():
     m = load_model('{"worlds": ["w0", "w1"]}')
-    got = Evaluator().formula_worlds(m, parse("forall x. ?[p] x", None), InterpretationPair({}, {}))
+    got = Evaluator().formula_worlds(m, parse("forall x. ?[p] x", None), {}, {})
     assert got == frozenset({"w0", "w1"})
 
 
@@ -136,11 +137,11 @@ def test_xi_clause_is_direct_binding():
     body = And(Prop("p"), Top())
     assert evaluate_sentence(m, Xi("X", body)) == evaluate_sentence(m, body)
     # the clause adds the body to the interpretation and evaluates it
-    direct = Evaluator().formula_worlds(m, FormulaVar("X"), InterpretationPair({}, {"X": body}))
+    direct = Evaluator().formula_worlds(m, FormulaVar("X"), {}, {"X": body})
     assert direct == evaluate_sentence(m, Xi("X", body))
     # a variable may stand for another one
-    chained = InterpretationPair({}, {"X": FormulaVar("Y"), "Y": body})
-    assert Evaluator().formula_worlds(m, FormulaVar("X"), chained) == direct
+    chained = {"X": FormulaVar("Y"), "Y": body}
+    assert Evaluator().formula_worlds(m, FormulaVar("X"), {}, chained) == direct
 
 
 def test_xi_unused_binding_is_inert(de_dicto):
@@ -158,11 +159,11 @@ def test_rejects_non_sentence(de_dicto):
 def test_undefined_interpretation_raises(de_dicto):
     ev = Evaluator()
     with pytest.raises(UndefinedInterpretationError, match="model variable 'x' is not bound"):
-        ev.formula_worlds(de_dicto, QueryVar(Prop("r"), "x"), InterpretationPair({}, {}))
+        ev.formula_worlds(de_dicto, QueryVar(Prop("r"), "x"), {}, {})
     with pytest.raises(UndefinedInterpretationError, match="formula variable 'X' uninterpreted"):
-        ev.formula_worlds(de_dicto, FormulaVar("X"), InterpretationPair({}, {}))
+        ev.formula_worlds(de_dicto, FormulaVar("X"), {}, {})
     with pytest.raises(UndefinedInterpretationError, match="model variable 'x' is not bound"):
-        ev.formula_worlds(de_dicto, QueryVar(Prop("r"), "x"), InterpretationPair({"x": "nope"}, {}))
+        ev.formula_worlds(de_dicto, QueryVar(Prop("r"), "x"), {"x": "nope"}, {})
 
 
 def test_interpretation_rebinding_overwrites(de_dicto):
@@ -171,22 +172,22 @@ def test_interpretation_rebinding_overwrites(de_dicto):
     ev, body = Evaluator(use_memo=False), QueryVar(Prop("r"), "x")
     every, labels = Forall("x", body), de_dicto.children
     expected = ev.sentence_worlds(de_dicto, every)
-    assert any(ev.formula_worlds(de_dicto, body, InterpretationPair({"x": n}, {})) != expected for n in labels)
+    assert any(ev.formula_worlds(de_dicto, body, {"x": n}, {}) != expected for n in labels)
     for n in labels:
-        assert ev.formula_worlds(de_dicto, every, InterpretationPair({"x": n}, {})) == expected
+        assert ev.formula_worlds(de_dicto, every, {"x": n}, {}) == expected
     loop = Xi("X", QueryConst(FormulaVar("X"), "c"))
     assert evaluate_sentence(de_dicto, QueryConst(Top(), "c"))  # what X bound to T would give
-    assert ev.formula_worlds(de_dicto, loop, InterpretationPair({}, {"X": Top()})) == ev.sentence_worlds(de_dicto, loop) == frozenset()
+    assert ev.formula_worlds(de_dicto, loop, {}, {"X": Top()}) == ev.sentence_worlds(de_dicto, loop) == frozenset()
 
 
 def test_open_formula_is_evaluated_per_binding(de_dicto):
     # The memo key of X would leave out x, which its body names, and so
     # reuse the first child's answer for the second.
     body = QueryVar(Prop("r"), "x")
-    f, interp = Forall("x", FormulaVar("X")), InterpretationPair({}, {"X": body})
+    f, formula_vars = Forall("x", FormulaVar("X")), {"X": body}
     expected = evaluate_sentence(de_dicto, Forall("x", body))
     assert expected == frozenset()
-    assert Evaluator().formula_worlds(de_dicto, f, interp) == expected
+    assert Evaluator().formula_worlds(de_dicto, f, {}, formula_vars) == expected
 
 
 def test_memo_holds_closed_formulas_only():
@@ -254,7 +255,7 @@ def test_holds_at_unknown_world(de_dicto):
 
 def test_valuation_of_a_non_formula_is_a_type_error(de_dicto):
     with pytest.raises(TypeError, match="not a formula"):
-        Evaluator().formula_worlds(de_dicto, "p", InterpretationPair({}, {}))
+        Evaluator().formula_worlds(de_dicto, "p", {}, {})
 
 
 def test_memoized_matches_unmemoized():
@@ -358,11 +359,29 @@ def test_evaluator_matches_reference_on_generated_inputs():
 
 
 def test_evaluator_matches_reference_on_example_corpus():
-    spec = importlib.util.spec_from_file_location("run_examples", REPO / "scripts" / "run_examples.py")
-    examples = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(examples)
+    examples = load_script("run_examples")
     for name, text in examples.CORPUS:
         m = load_model_file(REPO / "fixtures" / name)
         s = parse(text, model_vocabulary(m))
         for use_memo in (True, False):
             assert evaluate_sentence(m, s, use_memo=use_memo) == _reference(m, s, {}, {}), text
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.booleans())
+def test_holds_at_is_membership_in_the_sentence_worlds(seed, use_memo):
+    vocab = Vocabulary.of(props=["p", "q"], constants=["c"])
+    m = gen_model(GenSpec(seed=seed, max_worlds=4, max_children=2, max_depth=2, prop_count=2, edge_density=0.4))
+    shared, sets = Evaluator(use_memo), Evaluator(use_memo)  # each reused across the sentences
+    for k in range(3):
+        s = gen_sentence(seed * 3 + k, vocab, max_connectives=8)
+        worlds, expected = sets.sentence_worlds(m, s), _reference(m, s, {}, {})
+        for w in m.worlds:
+            assert shared.holds_at(m, w, s) == (w in worlds) == (w in expected), (seed, k, w)
+    # The world is checked first, then the sentence.
+    open_formula = parse("xi X. X")
+    with pytest.raises(ValueError, match="unknown world 'nowhere'") as err:
+        shared.holds_at(m, "nowhere", open_formula)
+    assert not isinstance(err.value, NotASentenceError)
+    with pytest.raises(NotASentenceError):
+        shared.holds_at(m, m.worlds[0], open_formula)

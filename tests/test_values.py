@@ -21,7 +21,6 @@ from gkmc.bisim import BisimVerdict, BisimWitness, WitnessReport
 from gkmc.distinguish import EnumerationBudget
 from gkmc.generate import GenSpec
 from gkmc.model import GenealogicalModel, ModelDiagnostics, ModelViolation, PointedModel, dump_model, replace_model
-from gkmc.semantics import InterpretationPair
 from gkmc.syntax import (
     And,
     Box,
@@ -111,9 +110,7 @@ IDENTITY = [
     ),
 ]
 
-EVERY = STRUCTURAL + IDENTITY + [
-    (lambda: InterpretationPair({"x": "n"}, {}), "InterpretationPair(model_vars={'x': 'n'}, formula_vars={})"),
-]
+EVERY = STRUCTURAL + IDENTITY
 
 
 def _ids(cases):
