@@ -15,17 +15,22 @@ power: conjunctions are flattened chains with strictly increasing
 operands, double negation and negated `T`/`F` are dropped, `<>` is not
 applied to a negation (`~[]` covers it), `exists` bodies are not
 negations (`~forall` covers it), and a `xi` binder must use its
-variable.  Stream members are sentences by construction, and Tier-1
-tests check that at several settings; duplicates after expansion to
-primitives are removed.
+variable.  Stream members are sentences by construction; each is
+checked once, when its batch is committed, and a failure raises, as an
+enumerator bug.  Duplicates after expansion to primitives are removed.
 
 The stream of a setting (modal depth, vocabulary, `xi` on or off) at
 cost c is a prefix of its stream at cost c+1, so it is built once, a
 whole cost batch at a time, and shared by every reader: repeated
 `distinguish` calls, a 4-then-5 budget ladder, a paused generator.
-Only the most recent setting's stream is kept: about 5.4 MB at cost 4,
-modal depth 4 over `{p}`/`{c}`, and 49 MB at cost 5.  A one-shot CLI run
-builds it once, as before.
+Equal formulas built for a stream are one object, down to the inner
+nodes of `<>` and `exists`, so an evaluator's memo finds a stream
+subformula by identity, never by a recursive `==`.  Only the most
+recent setting's stream is kept: about 4.1 MB at cost 4, modal depth 4
+over `{p}`/`{c}`, and 38 MB at cost 5.  A one-shot CLI run builds it
+once, as before.  `distinguish` reads the stream's list directly and
+evaluates each sentence with `Evaluator.checked_holds_at`, which checks
+no sentence: the stream has checked them.
 
 Bisimilar pointed models agree on every sentence (the invariance
 result, which the tests check on the stream directly), so on a bisimilar
@@ -42,7 +47,6 @@ bisimilarity.
 
 from __future__ import annotations
 
-import itertools
 import threading
 from typing import Iterator, Optional
 
@@ -66,15 +70,13 @@ from .syntax import (
     _FORMULA_VARS,
     _MODEL_VARS,
     _set,
-    bot,
-    diamond,
-    exists,
+    check_sentence,
     format_formula,
     free_vars,
 )
 
 _TOP = Top()
-_BOT = bot()
+_BOT = Not(_TOP)
 
 # Search nodes the proof of bisimilarity may visit.  A `bisimilar` call
 # on generated `dup_child` pairs visits at most 27 on tiny models, 115
@@ -122,6 +124,8 @@ class _Stream:
         self.props = sorted(vocab.props)
         self.consts = sorted(vocab.constants)
         self.cache: dict[tuple, tuple[Formula, ...]] = {}
+        # Formula -> its one instance in this stream.
+        self.nodes: dict[Formula, Formula] = {}
         # Formula -> (cost it was first built at, canonical text).
         self.sort_key: dict[Formula, tuple[int, str]] = {}
         self.sentences: list[Formula] = []
@@ -130,13 +134,16 @@ class _Stream:
 
     def end(self, cost: int) -> int:
         """The stream's length at cost `cost`, grown to it first.  Each batch
-        is built aside and committed whole, so a failure part-way through
-        leaves the stream as it was."""
+        is built aside, each new sentence in it checked once, and committed
+        whole, so a failure part-way through leaves the stream as it was."""
         with _lock:
             while len(self.ends) <= cost:
                 batch = set(self.exact(len(self.ends), self.key[0], _ROOT))
                 ordered = sorted(batch, key=lambda f: self.sort_key[f][1])
                 new = [f for f in ordered if f not in self.seen]
+                for f in new:
+                    if not check_sentence(f).verdict:
+                        raise RuntimeError(f"the stream built a non-sentence: {format_formula(f)!r}")
                 self.seen.update(new)
                 self.sentences.extend(new)
                 self.ends.append(len(self.sentences))
@@ -144,16 +151,22 @@ class _Stream:
 
     def exact(self, cost: int, modal: int, ctx: _Ctx) -> tuple[Formula, ...]:
         """All canonical formulas built with exactly `cost` connectives and
-        at most `modal` nested modal steps, in this context."""
+        at most `modal` nested modal steps, in this context, each the
+        stream's one instance of its value."""
         key = (cost, modal, ctx)
         got = self.cache.get(key)
         if got is None:
-            got = tuple(self._build(cost, modal, ctx))
+            got = tuple(map(self.shared, self._build(cost, modal, ctx)))
             for f in got:
                 if f not in self.sort_key:
                     self.sort_key[f] = (cost, format_formula(f))
             self.cache[key] = got
         return got
+
+    def shared(self, f: Formula) -> Formula:
+        """The stream's one instance of `f`'s value, `f` if it is the first.
+        Built from shared children, `f` is then shared all the way down."""
+        return self.nodes.setdefault(f, f)
 
     def _build(self, cost, modal, ctx) -> Iterator[Formula]:
         mv, ok, pending = ctx
@@ -176,7 +189,7 @@ class _Stream:
             for operand in self.exact(cost - 1, modal - 1, ctx):
                 yield Box(operand)
                 if not isinstance(operand, Not):
-                    yield diamond(operand)
+                    yield Not(self.shared(Box(self.shared(Not(operand)))))  # diamond(operand)
 
         for left_cost in range(cost):
             right_cost = cost - 1 - left_cost
@@ -195,7 +208,7 @@ class _Stream:
         for body in self.exact(cost - 1, modal, (mv + (var,), ok, pending)):
             yield Forall(var, body)
             if not isinstance(body, Not):
-                yield exists(var, body)
+                yield Not(self.shared(Forall(var, self.shared(Not(body)))))  # exists(var, body)
 
         if self.allow_xi:
             fvar = _FORMULA_VARS[min(len(ok) + len(pending), len(_FORMULA_VARS) - 1)]
@@ -240,23 +253,23 @@ def enumerate_sentences(budget: EnumerationBudget) -> Iterator[Formula]:
 def distinguish(pm: PointedModel, pn: PointedModel, budget: EnumerationBudget) -> Optional[Formula]:
     """First enumerated sentence the two pointed models disagree on, or
     None when the whole fragment agrees.  Each sentence is asked at both
-    pointed worlds on one shared evaluator, and every hit is re-verified
+    pointed worlds on one shared evaluator, with no sentence check (the
+    stream checked it when it was built), and every hit is re-verified
     by an independent unmemoized evaluation before being returned.  Just
     before the last cost batch, a checked proof of bisimilarity answers
     None without reading that batch."""
     stream = _stream_for(budget)
-    sentences = enumerate_sentences(budget)
     ev = Evaluator()  # one record per model, so both sides share it
+    holds_m = ev.checked_holds_at(pm.model, pm.world)
+    holds_n = ev.checked_holds_at(pn.model, pn.world)
     last = budget.max_connective_depth
     start = 0
     for cost in range(last + 1):
         if cost == last and _proved_bisimilar(pm, pn, budget.vocab):
             return None
-        # Read one batch, built first as the reader would build it on
-        # entering it; islice stops without asking for the next sentence.
         end = stream.end(cost)
-        for sentence in itertools.islice(sentences, end - start):
-            if ev.holds_at(pm.model, pm.world, sentence) != ev.holds_at(pn.model, pn.world, sentence):
+        for sentence in stream.sentences[start:end]:
+            if holds_m(sentence) != holds_n(sentence):
                 fresh_m = holds_at(pm.model, pm.world, sentence, use_memo=False)
                 fresh_n = holds_at(pn.model, pn.world, sentence, use_memo=False)
                 if fresh_m == fresh_n:

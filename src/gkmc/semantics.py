@@ -28,14 +28,16 @@ nodes only, under the node alone, as their value depends on the model
 alone; C2 makes each `xi` of a sentence closed, so every unfolding of
 `X` is a lookup.  `holds_at` answers satisfaction at one world, the
 paper's pointed-model question, by testing one bit of the mask;
-`sentence_worlds` and `formula_worlds` turn the mask into a `frozenset`
-of world names.
+`checked_holds_at` does the same for a caller that has checked its
+sentences already, with the world looked up once per caller, not once
+per sentence; `sentence_worlds` and `formula_worlds` turn the mask into
+a `frozenset` of world names.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .model import GenealogicalModel
 from .syntax import (
@@ -54,6 +56,11 @@ from .syntax import (
     check_sentence,
     free_vars,
 )
+
+
+# The empty interpretation a sentence is evaluated under, shared: `_eval`
+# never writes to the maps it is given.
+_NO_BINDINGS: Mapping = {}
 
 
 class NotASentenceError(ValueError):
@@ -87,7 +94,8 @@ class Evaluator:
 
     `holds_at` and `sentence_worlds` check their argument with
     `check_sentence`, which reads a sentence's verdict off its cached
-    `free_vars` summary.
+    `free_vars` summary; `checked_holds_at` leaves the check to its
+    caller.
     """
 
     def __init__(self, use_memo: bool = True):
@@ -97,17 +105,26 @@ class Evaluator:
     def holds_at(self, m: GenealogicalModel, world: str, sentence: Formula) -> bool:
         """Whether the sentence holds at `world` of `m`.  Raises `ValueError`
         on a world `m` lacks, then `NotASentenceError` on a non-sentence."""
+        holds = self.checked_holds_at(m, world)
+        _check(sentence)
+        return holds(sentence)
+
+    def checked_holds_at(self, m: GenealogicalModel, world: str) -> Callable[[Formula], bool]:
+        """`holds_at(m, world, ·)` for sentences the caller has checked
+        already: the world is checked once, here, and the sentence never.
+        A non-sentence may raise `UndefinedInterpretationError` or give a
+        wrong answer."""
         r = self._record(m)
         bit = r.bits.get(world)
         if bit is None:
             raise ValueError(f"unknown world {world!r}")
-        _check(sentence)
-        return bool(self._eval(r, sentence, {}, {}) & bit)
+        evaluate = self._eval
+        return lambda sentence: bool(evaluate(r, sentence, _NO_BINDINGS, _NO_BINDINGS) & bit)
 
     def sentence_worlds(self, m: GenealogicalModel, sentence: Formula) -> frozenset[str]:
         _check(sentence)
         r = self._record(m)
-        return r.world_set(self._eval(r, sentence, {}, {}))
+        return r.world_set(self._eval(r, sentence, _NO_BINDINGS, _NO_BINDINGS))
 
     def formula_worlds(self, m: GenealogicalModel, f: Formula, model_vars: Mapping, formula_vars: Mapping) -> frozenset[str]:
         """Any formula under explicit interpretations, with no sentence

@@ -3,18 +3,20 @@ import hashlib
 import importlib
 import itertools
 import json
+import re
 import sys
 import threading
 import weakref
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gkmc.bisim import BisimVerdict, BisimWitness, BudgetExceededError, bisimilar, brute_force_bisim
 from gkmc.distinguish import EnumerationBudget, distinguish, enumerate_sentences
 from gkmc.generate import GenSpec, SplitMix64, break_child, derive, dup_child, gen_model, rename_worlds
 from gkmc.model import GenealogicalModel, PointedModel, load_model, model_vocabulary
 from gkmc.semantics import Evaluator, holds_at
-from gkmc.syntax import Prop, Vocabulary, check_sentence, format_formula, parse
+from gkmc.syntax import Prop, QueryVar, Vocabulary, check_sentence, format_formula, parse, subformulas
 
 from conftest import TINY, load_script, same_structure, twins_and_retrack
 
@@ -23,6 +25,7 @@ P_C = Vocabulary.of(props=["p"], constants=["c"])
 
 # `gkmc.distinguish` is the re-exported function; the module holds the shared stream.
 _distinguish_module = importlib.import_module("gkmc.distinguish")
+_semantics_module = importlib.import_module("gkmc.semantics")
 
 
 def _pointed(m, k=0):
@@ -122,6 +125,60 @@ def test_failed_batch_is_not_committed(empty_stream, monkeypatch):
     assert _pinned(_texts(enumerate_sentences(EnumerationBudget(4, 4, P_C))))
 
 
+def test_a_batch_with_a_non_sentence_raises_and_is_not_committed(empty_stream, monkeypatch):
+    head = _texts(enumerate_sentences(EnumerationBudget(1, 4, P_C)))
+    real = _distinguish_module._Stream._build
+
+    def leaky(self, cost, modal, ctx):
+        yield from real(self, cost, modal, ctx)
+        if (cost, modal, ctx) == (2, self.key[0], _distinguish_module._ROOT):
+            yield QueryVar(Prop("p"), "x")  # x is free
+
+    monkeypatch.setattr(_distinguish_module._Stream, "_build", leaky)
+    with pytest.raises(RuntimeError, match=re.escape("non-sentence: '?[p] x'")):
+        list(enumerate_sentences(EnumerationBudget(4, 4, P_C)))
+    stream = _distinguish_module._stream
+    assert len(stream.ends) == 2 and _texts(stream.sentences) == head
+
+
+def test_equal_stream_nodes_are_one_object(empty_stream):
+    # Memo lookups on stream sentences then compare by identity.
+    one = {}
+    for sentence in enumerate_sentences(EnumerationBudget(3, 3, P_C)):
+        for _, node in subformulas(sentence):
+            assert one.setdefault(node, node) is node, format_formula(node)
+
+
+def _counted(monkeypatch, module):
+    """Calls of `check_sentence` made through `module`'s name for it."""
+    real, calls = module.check_sentence, []
+
+    def counted(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(module, "check_sentence", counted)
+    return calls
+
+
+def test_sentences_are_checked_once_per_stream(empty_stream, monkeypatch):
+    stream_checks = _counted(monkeypatch, _distinguish_module)
+    evaluator_checks = _counted(monkeypatch, _semantics_module)
+    budget = EnumerationBudget(4, 4, P_C)
+    pm, pn = _dup_child_pair()
+    assert distinguish(pm, pn, budget) is None  # reads the batches up to cost 3
+    assert [id(f) for f in stream_checks] == [id(f) for f in _distinguish_module._stream.sentences]
+    assert len(stream_checks) == 603 and evaluator_checks == []
+    sentences = list(enumerate_sentences(budget))
+    assert len(stream_checks) == len(sentences) == PINNED_4_4[0]
+    # On the warm stream a call checks nothing but the hit it re-verifies.
+    stream_checks.clear()
+    pa, pb = next(_break_child_pairs())
+    separator = distinguish(pa, pb, budget)
+    assert separator is not None and distinguish(pm, pn, budget) is None
+    assert stream_checks == [] and evaluator_checks == [separator, separator]
+
+
 def test_concurrent_readers_share_one_stream(empty_stream):
     budget = EnumerationBudget(4, 4, P_C)
     results = [None] * 4
@@ -172,8 +229,8 @@ def test_stream_is_deterministic():
 P2_C2 = Vocabulary.of(props=["p", "q"], constants=["c", "d"])
 
 
-# The stream keeps every formula its enumerator builds, so this is the
-# check that the enumerator builds sentences only.
+# The stream checks each sentence once, as it commits its batch; this
+# runs the check at four settings, independently of that.
 @pytest.mark.parametrize(
     "budget",
     [
@@ -337,6 +394,42 @@ def test_distinguish_deterministic():
     first = distinguish(_pointed(m), _pointed(n), budget)
     second = distinguish(_pointed(m), _pointed(n), budget)
     assert first == second
+
+
+def _tiny_pair(seed, shape, i, j):
+    """A tiny pair: two independent models, or a model and its `dup_child`
+    or `break_child` copy, pointed at the worlds `i` and `j` (modulo size)."""
+    m = gen_model(GenSpec(seed=seed, **TINY))
+    if shape == "independent" or not m.children:
+        n = gen_model(GenSpec(seed=seed + 1, **TINY))
+    else:
+        label = sorted(m.children)[0]
+        child_world = m.children[label].worlds[j % len(m.children[label].worlds)]
+        n = dup_child(m, label) if shape == "dup_child" else break_child(m, label, "p", child_world)
+    return PointedModel(m, m.worlds[i % len(m.worlds)]), PointedModel(n, n.worlds[j % len(n.worlds)])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 10**6),
+    st.sampled_from(["independent", "dup_child", "break_child"]),
+    st.integers(0, 2),
+    st.integers(0, 2),
+    st.booleans(),
+)
+def test_distinguish_returns_the_first_sentence_direct_evaluation_separates(seed, shape, i, j, allow_xi):
+    pm, pn = _tiny_pair(seed, shape, i, j)
+    budget = EnumerationBudget(3, 3, P_C, allow_xi=allow_xi)
+    first = next(
+        (
+            s
+            for s in enumerate_sentences(budget)
+            if holds_at(pm.model, pm.world, s, use_memo=False) != holds_at(pn.model, pn.world, s, use_memo=False)
+        ),
+        None,
+    )
+    assert distinguish(pm, pn, budget) == first
+    assert distinguish(pn, pm, budget) == first
 
 
 def test_separators_do_not_depend_on_the_retained_stream(monkeypatch):
