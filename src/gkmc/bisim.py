@@ -67,10 +67,10 @@ enumerates relations Z and functions f and shares no code with the search.
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Optional
+from typing import Optional
 
 from .model import GenealogicalModel, PointedModel, depth, model_vocabulary
-from .syntax import Record, Vocabulary, _set
+from .syntax import Record, Vocabulary
 
 DEFAULT_BUDGET = 500_000
 
@@ -85,34 +85,26 @@ class OracleSizeError(ValueError):
 
 class BisimWitness(Record):
     """The bisimulation (Z, f ≡ H): the world pairs Z, the child pairs H
-    and one child witness per child pair at tracked worlds.  It hashes by
-    identity, so a witness DAG indexes its shared nodes."""
+    and one child witness per child pair at tracked worlds, keyed
+    `(left label, right label, left world, right world)` in
+    `child_witnesses`.  It hashes by identity, so a witness DAG indexes
+    its shared nodes."""
 
     __slots__ = __match_args__ = ("z", "h", "child_witnesses")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(self, z: frozenset[tuple[str, str]], h: frozenset[tuple[str, str]], child_witnesses: Mapping[tuple, BisimWitness]):
-        _set(self, "z", z)
-        _set(self, "h", h)
-        # (left label, right label, left world, right world) -> child witness
-        _set(self, "child_witnesses", child_witnesses)
-
 
 class BisimVerdict(Record):
-    __slots__ = __match_args__ = ("bisimilar", "witness")
+    """Whether the pair is bisimilar and, if so, a `BisimWitness`."""
 
-    def __init__(self, bisimilar: bool, witness: Optional[BisimWitness]):
-        _set(self, "bisimilar", bisimilar)
-        _set(self, "witness", witness)
+    __slots__ = __match_args__ = ("bisimilar", "witness")
 
 
 class WitnessReport(Record):
-    __slots__ = __match_args__ = ("ok", "failures")
+    """Whether a witness checks out; `failures` holds (clause tag, message) pairs."""
 
-    def __init__(self, ok: bool, failures: tuple[tuple[str, str], ...]):
-        _set(self, "ok", ok)
-        _set(self, "failures", failures)  # (clause tag, message)
+    __slots__ = __match_args__ = ("ok", "failures")
 
 
 def _successors(m: GenealogicalModel) -> dict[str, tuple[str, ...]]:
@@ -220,7 +212,7 @@ class _PairLevel:
                 for a, b in h | _constant_pairs(m, n, u, v, ctx.vocab):
                     wa, wb = m.tracking[u][a], n.tracking[v][b]
                     child_witnesses[a, b, wa, wb] = ctx.witness(m.children[a], n.children[b], wa, wb)
-            got = self.witnesses[h] = BisimWitness(z=z, h=h, child_witnesses=child_witnesses)
+            got = self.witnesses[h] = BisimWitness(z, h, child_witnesses)
         return got
 
 
@@ -335,9 +327,9 @@ class _Ctx:
             stack.pop()
             if c not in built:
                 built[c] = BisimWitness(
-                    z=frozenset((w, w) for w in c.worlds),
-                    h=frozenset((a, a) for a in c.children),
-                    child_witnesses={(a, a, w, w): built[c.children[a]] for row in c.tracking.values() for a, w in row.items()},
+                    frozenset((w, w) for w in c.worlds),
+                    frozenset((a, a) for a in c.children),
+                    {(a, a, w, w): built[c.children[a]] for row in c.tracking.values() for a, w in row.items()},
                 )
         return built[m]
 

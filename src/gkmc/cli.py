@@ -2,8 +2,9 @@
 
 Subcommands: validate, eval, bisim, distinguish, gen, fmt.  Exit codes:
 0 the property holds / models bisimilar / document valid; 1 it fails /
-not bisimilar / invalid; 2 input error, a formula nested deeper than
-`syntax.MAX_NESTING` included; 3 search budget exhausted (an
+not bisimilar / invalid; 2 input error, an output path that cannot be
+written and a formula nested deeper than `syntax.MAX_NESTING`
+included; 3 search budget exhausted (an
 explicit unknown, never conflated with 0 or 1); 4 internal error (an
 unexpected exception, a witness failing its check or an oracle
 disagreement; never a verdict).  With `--json` every result is a single
@@ -61,6 +62,14 @@ def _read(path):
             return handle.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror or exc}")
+
+
+def _write(path, text):
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror or exc}")
 
 
 def _load_vocab(path) -> Vocabulary:
@@ -157,9 +166,7 @@ def _cmd_bisim(args):
             "internal error: produced witness fails verification",
         )
     if args.witness:
-        with open(args.witness, "w", encoding="utf-8") as handle:
-            json.dump(witness_to_document(verdict.witness), handle, indent=2, sort_keys=True)
-            handle.write("\n")
+        _write(args.witness, json.dumps(witness_to_document(verdict.witness), indent=2, sort_keys=True) + "\n")
     return OK, {"bisimilar": True}, "bisimilar"
 
 
@@ -189,8 +196,7 @@ def _cmd_gen(args):
     )
     m = gen_model(spec)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(dump_model(m))
+        _write(args.output, dump_model(m))
         return OK, {"written": args.output}, f"wrote {args.output}"
     return OK, to_document(m), dump_model(m).rstrip("\n")
 

@@ -82,21 +82,12 @@ class PointedModel(Record):
 class ModelViolation(Record):
     __slots__ = __match_args__ = ("tag", "path", "message")
 
-    def __init__(self, tag: str, path: str, message: str):
-        _set(self, "tag", tag)
-        _set(self, "path", path)
-        _set(self, "message", message)
-
     def __str__(self):
         return f"{self.tag} at {self.path or '<root>'}: {self.message}"
 
 
 class ModelDiagnostics(Record):
     __slots__ = __match_args__ = ("verdict", "violations")
-
-    def __init__(self, verdict: bool, violations: tuple[ModelViolation, ...]):
-        _set(self, "verdict", verdict)
-        _set(self, "violations", violations)
 
 
 class DocumentFormatError(ValueError):
@@ -351,11 +342,15 @@ def model_vocabulary(*models: GenealogicalModel) -> Vocabulary:
     """Propositions and constants mentioned anywhere in the model trees."""
     props: set[str] = set()
     constants: set[str] = set()
-    stack = list(models)
+    seen = set(models)  # submodels hash by identity: a shared child is walked once
+    stack = list(seen)
     while stack:
         node = stack.pop()
         props.update(node.valuation)
         for row in node.assignment.values():
             constants.update(row)
-        stack.extend(node.children.values())
+        for child in node.children.values():
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
     return Vocabulary.of(props=props, constants=constants)

@@ -46,6 +46,7 @@ checks pays for each once.
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 from typing import Iterator, NamedTuple, Optional
 
 
@@ -56,30 +57,49 @@ class Record:
     """Base of gkmc's immutable values.
 
     A subclass names its fields, in constructor order, in
-    `__match_args__`, stores them in `__slots__` and sets them in its
-    `__init__` with `_set`.  The base gives it equality with instances
-    of the same class whose fields are equal, a hash of the fields, a
-    `repr` naming them, `AttributeError` on any assignment or deletion,
-    and pickling and copying by the fields alone.  A value that hashes
-    by identity sets `__eq__` and `__hash__` back to `object`'s.
+    `__match_args__` and stores them in `__slots__`.
+    `Record.__init_subclass__` gives each class `_values`, a getter of
+    its fields as a tuple; equality (with instances of the same class
+    whose fields are equal), hashing, `repr`, pickling and copying all
+    read the fields through it.  The base constructor takes the fields
+    by position or by keyword and raises `TypeError` on a missing,
+    unknown, doubled or surplus one.  Assigning or deleting any
+    attribute raises `AttributeError`.  A class whose constructor
+    validates or sets defaults writes its own `__init__`, setting the
+    fields with `_set`; a value that hashes by identity sets `__eq__`
+    and `__hash__` back to `object`'s.
     """
 
     __slots__ = ()
     __match_args__: tuple[str, ...] = ()
 
-    def _values(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__match_args__])
+    def __init_subclass__(cls):
+        names = cls.__match_args__
+        getter = attrgetter(*names) if names else (lambda value: ())
+        if len(names) == 1:  # a one-name attrgetter returns the bare value
+            getter = lambda value, one=getter: (one(value),)
+        cls._values = staticmethod(getter)
+
+    def __init__(self, *args, **kwargs):
+        names = self.__match_args__
+        if kwargs or len(args) != len(names):
+            rest = names[len(args):]
+            if len(args) > len(names) or kwargs.keys() != set(rest):
+                raise TypeError(f"{type(self).__qualname__}() takes each of {names} once, by position or by keyword")
+            args += tuple([kwargs[name] for name in rest])
+        for name, value in zip(names, args):
+            _set(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
-            return self._values() == other._values()
+            return self._values(self) == self._values(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__match_args__, self._values(self)))
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name, value):
@@ -89,16 +109,16 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), self._values()
+        return type(self), self._values(self)
 
 
 class Formula(Record):
     """Base class of formula nodes.
 
-    A node class is a `Record` that writes its own `__init__` and
-    `__eq__`, the two calls every parse, stream build and memo lookup
-    makes.  Nodes of different classes never compare equal, and every
-    node class hashes by `Formula.__hash__`.
+    A node class is a `Record`: equality, the field getter and pickling
+    come from there, and every node class hashes by `Formula.__hash__`.
+    Each node class writes its own `__init__`, the call every parse and
+    stream build makes.  Nodes of different classes never compare equal.
 
     Slots cache per-node facts that never change once the node exists:
     `_hash` (first `hash()`) and `_free` (first `free_vars`, which also
@@ -113,14 +133,11 @@ class Formula(Record):
 
     __slots__ = ("_hash", "_free")
 
-    def __init_subclass__(cls):
-        cls.__hash__ = Formula.__hash__  # a class body defining __eq__ sets it to None
-
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
             # The children cache their own hashes, so this costs one level.
-            h = hash((type(self), *self._values()))
+            h = hash((type(self), *self._values(self)))
             _set(self, "_hash", h)
         return h
 
@@ -132,9 +149,6 @@ class Top(Formula):
         _set(self, "_hash", None)
         _set(self, "_free", None)
 
-    def __eq__(self, other):
-        return True if other.__class__ is self.__class__ else NotImplemented
-
 
 class Prop(Formula):
     __slots__ = __match_args__ = ("name",)
@@ -143,9 +157,6 @@ class Prop(Formula):
         _set(self, "name", name)
         _set(self, "_hash", None)
         _set(self, "_free", None)
-
-    def __eq__(self, other):
-        return self.name == other.name if other.__class__ is self.__class__ else NotImplemented
 
 
 class FormulaVar(Formula):
@@ -156,9 +167,6 @@ class FormulaVar(Formula):
         _set(self, "_hash", None)
         _set(self, "_free", None)
 
-    def __eq__(self, other):
-        return self.name == other.name if other.__class__ is self.__class__ else NotImplemented
-
 
 class Not(Formula):
     __slots__ = __match_args__ = ("operand",)
@@ -167,10 +175,6 @@ class Not(Formula):
         _set(self, "operand", operand)
         _set(self, "_hash", None)
         _set(self, "_free", None)
-
-    def __eq__(self, other):
-        # A tuple compares shared children by identity first.
-        return (self.operand,) == (other.operand,) if other.__class__ is self.__class__ else NotImplemented
 
 
 class And(Formula):
@@ -182,9 +186,6 @@ class And(Formula):
         _set(self, "_hash", None)
         _set(self, "_free", None)
 
-    def __eq__(self, other):
-        return (self.left, self.right) == (other.left, other.right) if other.__class__ is self.__class__ else NotImplemented
-
 
 class Box(Formula):
     __slots__ = __match_args__ = ("operand",)
@@ -193,9 +194,6 @@ class Box(Formula):
         _set(self, "operand", operand)
         _set(self, "_hash", None)
         _set(self, "_free", None)
-
-    def __eq__(self, other):
-        return (self.operand,) == (other.operand,) if other.__class__ is self.__class__ else NotImplemented
 
 
 class Forall(Formula):
@@ -206,9 +204,6 @@ class Forall(Formula):
         _set(self, "body", body)
         _set(self, "_hash", None)
         _set(self, "_free", None)
-
-    def __eq__(self, other):
-        return (self.var, self.body) == (other.var, other.body) if other.__class__ is self.__class__ else NotImplemented
 
 
 class Xi(Formula):
@@ -222,9 +217,6 @@ class Xi(Formula):
         _set(self, "_hash", None)
         _set(self, "_free", None)
 
-    def __eq__(self, other):
-        return (self.var, self.body) == (other.var, other.body) if other.__class__ is self.__class__ else NotImplemented
-
 
 class QueryVar(Formula):
     """`?[body] var`: evaluate body in the child process named by a model variable."""
@@ -237,9 +229,6 @@ class QueryVar(Formula):
         _set(self, "_hash", None)
         _set(self, "_free", None)
 
-    def __eq__(self, other):
-        return (self.body, self.var) == (other.body, other.var) if other.__class__ is self.__class__ else NotImplemented
-
 
 class QueryConst(Formula):
     """`?[body] #const`: evaluate body in the child process a constant points to."""
@@ -251,9 +240,6 @@ class QueryConst(Formula):
         _set(self, "const", const)
         _set(self, "_hash", None)
         _set(self, "_free", None)
-
-    def __eq__(self, other):
-        return (self.body, self.const) == (other.body, other.const) if other.__class__ is self.__class__ else NotImplemented
 
 
 def bot() -> Formula:
@@ -296,10 +282,6 @@ class Vocabulary(Record):
     """
 
     __slots__ = __match_args__ = ("props", "constants")
-
-    def __init__(self, props: frozenset[str], constants: frozenset[str]):
-        _set(self, "props", props)
-        _set(self, "constants", constants)
 
     @classmethod
     def of(cls, props=(), constants=()) -> "Vocabulary":
@@ -528,9 +510,6 @@ def parse(text: str, vocab: Optional[Vocabulary] = None) -> Formula:
 _LEVEL_AND = 1
 _LEVEL_UNARY = 2
 
-_F = Not(Top())
-
-
 def _level(f: Formula) -> int:
     return _LEVEL_AND if isinstance(f, And) else _LEVEL_UNARY
 
@@ -541,7 +520,7 @@ def format_formula(f: Formula) -> str:
 
 
 def _fmt(f: Formula, required: int) -> str:
-    if f == _F:
+    if isinstance(f, Not) and isinstance(f.operand, Top):
         return "F"
     if isinstance(f, Top):
         return "T"
@@ -592,13 +571,10 @@ def subformulas(f: Formula) -> Iterator[tuple[NodePath, Formula]]:
 
 
 class Occurrence(Record):
-    __slots__ = __match_args__ = ("path", "kind", "name", "free")
+    """One variable occurrence: its node path, its kind ("model" or
+    "formula"), the variable's name and whether it is free."""
 
-    def __init__(self, path: NodePath, kind: str, name: str, free: bool):
-        _set(self, "path", path)
-        _set(self, "kind", kind)  # "model" | "formula"
-        _set(self, "name", name)
-        _set(self, "free", free)
+    __slots__ = __match_args__ = ("path", "kind", "name", "free")
 
 
 def occurrences(f: Formula) -> list[Occurrence]:
@@ -690,18 +666,9 @@ C3_QUERY_BODY = "C3-query-body"
 class SentenceViolation(Record):
     __slots__ = __match_args__ = ("tag", "node", "message")
 
-    def __init__(self, tag: str, node: NodePath, message: str):
-        _set(self, "tag", tag)
-        _set(self, "node", node)
-        _set(self, "message", message)
-
 
 class SentenceDiagnostics(Record):
     __slots__ = __match_args__ = ("verdict", "violations")
-
-    def __init__(self, verdict: bool, violations: tuple[SentenceViolation, ...]):
-        _set(self, "verdict", verdict)
-        _set(self, "violations", violations)
 
 
 _SENTENCE = SentenceDiagnostics(True, ())

@@ -360,6 +360,22 @@ def test_gen_to_file(capsys, tmp_path):
     assert load_model(target.read_text()).worlds
 
 
+@pytest.mark.parametrize("as_json", [False, True])
+@pytest.mark.parametrize("command", ["gen", "bisim"])
+def test_an_output_path_that_cannot_be_written_is_an_input_error(capsys, tmp_path, command, as_json):
+    target = str(tmp_path / "missing" / "out.json")
+    fixture = fixture_path("de_dicto.gkm.json")
+    argv = ["gen", "-o", target] if command == "gen" else ["bisim", fixture, "s0", fixture, "s0", "--witness", target]
+    code = main((["--json"] if as_json else []) + argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and "Traceback" not in err
+    if as_json:
+        payload = json.loads(out)
+        assert payload["error"] == "input" and payload["message"].startswith(f"cannot write {target}: ")
+    else:
+        assert out.startswith(f"error: cannot write {target}: ")
+
+
 def test_fmt_canonicalizes(capsys):
     code, out = run(capsys, "fmt", "xi X.forall x.?[X] x")
     assert code == 0

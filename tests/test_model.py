@@ -76,6 +76,24 @@ def test_pointed_model_at_an_unknown_world_is_refused(de_dicto):
         PointedModel(de_dicto, "nowhere")
 
 
+def test_model_vocabulary_visits_a_shared_submodel_once():
+    visits = []
+
+    class Children(dict):
+        def values(self):
+            visits.append(self)
+            return super().values()
+
+    # 18 levels, each holding the level below under two labels, as `dup_child` builds.
+    m = GenealogicalModel(("s0",), frozenset(), {"p": frozenset({"s0"})}, Children(), {}, {})
+    for level in range(18):
+        tracking = {"s0": {"a": "s0", "b": "s0"}}
+        m = GenealogicalModel(("s0",), frozenset(), {f"q{level}": frozenset()}, Children(a=m, b=m), {"s0": {"c": "a"}}, tracking)
+    vocab = model_vocabulary(m)
+    assert vocab.props == {"p", *(f"q{level}" for level in range(18))} and vocab.constants == {"c"}
+    assert len(visits) == 19
+
+
 def test_model_vocabulary(de_dicto, deadlock):
     v = model_vocabulary(de_dicto)
     assert v.props == frozenset({"r"})

@@ -25,18 +25,24 @@ from gkmc.syntax import (
     And,
     Box,
     Forall,
+    Formula,
     FormulaVar,
     Not,
     Occurrence,
     Prop,
     QueryConst,
     QueryVar,
+    Record,
     SentenceDiagnostics,
     SentenceViolation,
     Top,
     Vocabulary,
     Xi,
+    bot,
+    format_formula,
 )
+
+from conftest import gen_formula
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
@@ -213,3 +219,65 @@ def test_import_loads_no_dataclasses():
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
     assert out.split() == ["False", "[]"]
+
+
+# The records whose constructor is `Record`'s: fields by position or by keyword.
+PLAIN = (
+    Vocabulary, Occurrence, SentenceViolation, SentenceDiagnostics, ModelViolation, ModelDiagnostics,
+    BisimVerdict, WitnessReport, BisimWitness,
+)
+PLAIN_CASES = [(build, text) for build, text in EVERY if type(build()) in PLAIN]
+
+
+def test_plain_records_and_formula_nodes_inherit_construction_and_equality():
+    assert len(PLAIN_CASES) == len(PLAIN)
+    assert [cls.__name__ for cls in PLAIN if "__init__" in vars(cls)] == []
+    nodes = [build() for build, _ in STRUCTURAL if isinstance(build(), Formula)]
+    assert [type(node).__name__ for node in nodes if "__eq__" in vars(type(node))] == []
+    assert "__init_subclass__" not in vars(Formula)
+
+
+@pytest.mark.parametrize("build,text", PLAIN_CASES, ids=_ids(PLAIN_CASES))
+def test_plain_records_build_alike_by_position_and_by_keyword(build, text):
+    value = build()
+    cls, names = type(value), type(value).__match_args__
+    fields = [getattr(value, name) for name in names]
+    by_position, by_keyword = cls(*fields), cls(**dict(zip(names, fields)))
+    assert repr(by_position) == repr(by_keyword) == text
+    if cls is not BisimWitness:  # it hashes by identity
+        assert by_position == by_keyword == value and hash(by_keyword) == hash(value)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: ModelViolation("t", "p"),
+        lambda: ModelViolation(tag="t", message="m"),
+        lambda: ModelViolation("t", "p", mesage="m"),
+        lambda: ModelViolation("t", "p", "m", extra=1),
+        lambda: ModelViolation("t", "p", "m", tag="u"),
+        lambda: ModelViolation("t", "p", "m", "x"),
+        lambda: ModelDiagnostics(),
+    ],
+    ids=["missing", "missing-keyword", "unknown", "unknown-extra", "positional-and-keyword", "surplus", "none"],
+)
+def test_a_record_given_wrong_fields_raises_type_error(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_format_formula_makes_no_formula_equality_call(monkeypatch):
+    vocab = Vocabulary.of(props=["p", "q", "r"], constants=["c", "d"])
+    corpus = [gen_formula(seed, vocab, max_connectives=8) for seed in range(300)]
+    corpus += [bot(), Not(bot()), And(bot(), Not(Not(Top()))), Box(Not(Prop("p")))]
+    texts = [format_formula(f) for f in corpus]
+    record_eq = Record.__eq__
+
+    def eq(self, other):
+        if isinstance(self, Formula):
+            raise AssertionError(f"formula equality: {self!r} == {other!r}")
+        return record_eq(self, other)
+
+    monkeypatch.setattr(Record, "__eq__", eq)
+    assert [format_formula(f) for f in corpus] == texts
+    assert texts[300:] == ["F", "~F", "F & ~F", "[]~p"]
