@@ -46,9 +46,8 @@ from .model import (
     dump_model,
     load_model,
     model_vocabulary,
-    parse_document,
+    reject_duplicate_keys,
     to_document,
-    validate,
 )
 from .semantics import evaluate_sentence
 from .syntax import Vocabulary, check_sentence, format_formula, parse
@@ -75,10 +74,13 @@ def _write(path, text):
 def _load_vocab(path) -> Vocabulary:
     text = _read(path)
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=reject_duplicate_keys)
         names = [doc.get(key, []) for key in ("props", "constants")] if isinstance(doc, dict) else None
         if names is None or not all(isinstance(ns, list) and all(isinstance(n, str) for n in ns) for ns in names):
             raise ValueError('want an object whose "props" and "constants" are arrays of strings')
+        unknown = doc.keys() - {"props", "constants"}
+        if unknown:
+            raise ValueError(f"unknown field(s): {', '.join(sorted(unknown))}")
         return Vocabulary.of(*names)
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"bad vocabulary file {path}: {exc}")
@@ -101,14 +103,13 @@ def _pointed_pair(args, m, n):
 
 def _cmd_validate(args):
     try:
-        m = parse_document(_read(args.model))
+        load_model(_read(args.model))
     except DocumentFormatError as exc:
         return INPUT_ERROR, {"error": "format", "message": str(exc)}, f"format error: {exc}"
-    diagnostics = validate(m)
-    if diagnostics.verdict:
-        return OK, {"valid": True}, "valid"
-    lines = list(map(str, diagnostics.violations))
-    return FAIL, {"valid": False, "violations": lines}, "invalid:\n  " + "\n  ".join(lines)
+    except ModelInvalidError as exc:
+        lines = list(map(str, exc.diagnostics.violations))
+        return FAIL, {"valid": False, "violations": lines}, "invalid:\n  " + "\n  ".join(lines)
+    return OK, {"valid": True}, "valid"
 
 
 def _cmd_eval(args):

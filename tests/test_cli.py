@@ -192,6 +192,24 @@ def test_eval_malformed_vocab_is_an_input_error(capsys, tmp_path, vocab_text):
     assert json.loads(out)["error"] == "input"
 
 
+@pytest.mark.parametrize(
+    "vocab_text, reason",
+    [
+        ('{"props": ["p"], "props": ["q"], "constants": []}', "duplicate key 'props'"),
+        ('{"prosp": ["q"], "constants": []}', "unknown field(s): prosp"),
+    ],
+    ids=["duplicate-key", "misspelt-key"],
+)
+def test_eval_vocab_with_a_repeated_or_unknown_key_is_an_input_error(capsys, tmp_path, vocab_text, reason):
+    # Neither file may be read silently: the first would lose `p` to the
+    # last `props`, the second would give an empty vocabulary.
+    vocab = tmp_path / "vocab.json"
+    vocab.write_text(vocab_text)
+    code, out = run(capsys, "--json", "eval", fixture_path("waitall.gkm.json"), "q", "--world", "s0", "--vocab", str(vocab))
+    assert code == 2
+    assert json.loads(out) == {"error": "input", "message": f"bad vocabulary file {vocab}: {reason}"}
+
+
 # --- bisim ---------------------------------------------------------------
 
 

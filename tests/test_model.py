@@ -1,12 +1,16 @@
 import json
 import pathlib
+import re
 import subprocess
 import sys
+from itertools import accumulate
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gkmc.generate import GenSpec, gen_model
+import gkmc.model as model_module
 from gkmc.model import (
     MAX_DOCUMENT_DEPTH,
     DocumentFormatError,
@@ -18,6 +22,7 @@ from gkmc.model import (
     model_vocabulary,
     PointedModel,
     parse_document,
+    reject_duplicate_keys,
     rt_closure,
     validate,
 )
@@ -124,7 +129,7 @@ def test_unknown_field_rejected():
 
 
 def test_duplicate_key_rejected():
-    with pytest.raises(DocumentFormatError):
+    with pytest.raises(DocumentFormatError, match="^duplicate key 'worlds'$"):
         parse_document('{"worlds": ["s0"], "worlds": ["s1"]}')
 
 
@@ -143,6 +148,21 @@ def test_brackets_inside_strings_are_not_nesting():
     assert parse_document(json.dumps({"worlds": [name]})).worlds == (name,)
 
 
+def _nesting(text: str) -> int:
+    """The deepest level of `text`'s brackets outside strings, taken one bracket at a time."""
+    outside = re.sub(r'"[^"\\]*(?:\\.[^"\\]*)*"', "", text)
+    return max(accumulate(1 if b in "[{" else -1 for b in re.findall(r"[][{}]", outside)), default=0)
+
+
+@given(st.text('[]{}"\\a:\n', max_size=40), st.integers(1, 6))
+@example('"[[', 1)  # an unclosed string is not taken out
+@example('"[[\\\n"', 1)  # nor one the regex cannot match, a backslash before a newline
+def test_depth_measure_agrees_with_a_plain_scan(text, limit):
+    # Well-formed or not: on an error path the measure decides which error comes first.
+    with mock.patch.object(model_module, "MAX_DOCUMENT_DEPTH", limit):
+        assert model_module._too_deep(text) == (_nesting(text) > limit), text
+
+
 def test_depth_limit_is_exact():
     # In a fresh process: the decoder's own limit counts the frames
     # already on the stack, and pytest's are many.
@@ -159,6 +179,118 @@ def test_depth_limit_is_exact():
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=src)
     # At the limit the document is decoded, and `valuation.p` refused.
     assert done.stdout.splitlines() == ["valuation.p: must be an array of worlds", "document nested too deeply for the JSON decoder"]
+
+
+# --- one load walk -----------------------------------------------------
+
+
+def _loaded(text: str):
+    """What `load_model` answers: the error's class and message and the
+    violation triples, or the model's dump."""
+    try:
+        return "model", dump_model(load_model(text))
+    except DocumentFormatError as exc:
+        return "format", str(exc)
+    except ModelInvalidError as exc:
+        return "invalid", str(exc), [(v.tag, v.path, v.message) for v in exc.diagnostics.violations]
+
+
+def _two_step(text: str):
+    """The same, from `parse_document` and then `validate`."""
+    try:
+        m = parse_document(text)
+    except DocumentFormatError as exc:
+        return "format", str(exc)
+    diagnostics = validate(m)
+    if diagnostics.verdict:
+        return "model", dump_model(m)
+    return "invalid", str(ModelInvalidError(diagnostics)), [(v.tag, v.path, v.message) for v in diagnostics.violations]
+
+
+def test_load_model_answers_as_parse_then_validate_on_the_corpus():
+    from input_corpus import mutated_documents
+
+    texts = mutated_documents(1500, 0)
+    kinds = set()
+    for text in texts:
+        got = _loaded(text)
+        assert got == _two_step(text), text
+        kinds.add(got[0])
+        # A repeated key is reported as the decoder's hook would report it.
+        try:
+            json.loads(text, object_pairs_hook=reject_duplicate_keys)
+        except DocumentFormatError as exc:
+            assert got == ("format", str(exc)), text
+        except json.JSONDecodeError:
+            pass
+    assert kinds == {"model", "format", "invalid"}
+
+
+_ROW = '"children": {"n": {"worlds": ["t"]}}, "tracking": {"s0": {"n": "t"}}'
+
+
+@pytest.mark.parametrize(
+    "text, answer",
+    [
+        # A repeated key in an object the decoder finished before the syntax error.
+        ('{"valuation": {"p": [], "p": []}, "worlds": [', ("format", "duplicate key 'p'")),
+        # In the unfinished object the syntax error comes first, as before.
+        ('{"worlds": ["s0"], "worlds": ["s1"], ', ("format", "not valid JSON: Expecting property name enclosed in double quotes: line 1 column 38 (char 37)")),
+        ('{"worlds": ["s0"], "worlds": ["s1"], "relation": 5}', ("format", "duplicate key 'worlds'")),
+        ('{"relation": 5, "worlds": ["s0"], "valuation": {"p": [], "p": []}}', ("format", "duplicate key 'p'")),
+        ('{"worlds": ["s0"], "valuation": {"p": ["s0"], "p": ["s0"]}}', ("format", "duplicate key 'p'")),
+        ('{"worlds": ["s0"], ' + _ROW + ', "assignment": {"s0": {"c": "n", "c": "n"}}}', ("format", "duplicate key 'c'")),
+        ('{"worlds": ["s0"], "closure": {"a": 1, "a": 1}}', ("format", "duplicate key 'a'")),
+        ('{"worlds": [{"a": 1, "a": 1}]}', ("format", "duplicate key 'a'")),
+        ('{"worlds": ["s0:{["], "children": {"n:{[": {"worlds": ["t:"]}}, "tracking": {"s0:{[": {"n:{[": "t:"}}}', "model"),
+        ('{"worlds": ["s0:{["], "valuation": {"p:": ["s0:{["], "p": []}}', ("invalid", "invalid model: V-prop-name at <root>: invalid proposition name 'p:'", [("V-prop-name", "", "invalid proposition name 'p:'")])),
+        ('{"worlds": ["a:b"], "valuation": {"p": ["a:b"], "p": []}}', ("format", "duplicate key 'p'")),
+        ('{"worlds": ["s0"], "x:y": 1}', ("format", "<root>: unknown field(s): x:y")),
+        ('{"worlds": ["s0"], "x:y": 1, "x:y": 2}', ("format", "duplicate key 'x:y'")),
+    ],
+)
+def test_load_model_reports_what_the_two_step_load_reported(text, answer):
+    got = _loaded(text)
+    assert got == _two_step(text)
+    assert (got[0] if answer == "model" else got) == answer
+
+
+def test_duplicate_key_hook_runs_only_to_report_an_error(monkeypatch):
+    calls = []
+
+    def hook(pairs):
+        calls.append(pairs)
+        return reject_duplicate_keys(pairs)
+
+    monkeypatch.setattr(model_module, "reject_duplicate_keys", hook)
+    for seed in range(50):
+        load_model(dump_model(gen_model(GenSpec(seed=seed, max_worlds=4, max_children=2, max_depth=2))))
+    assert calls == []
+    with pytest.raises(DocumentFormatError, match="duplicate key 'p'"):
+        load_model('{"worlds": ["s0"], "valuation": {"p": ["s0"], "p": ["s0"]}}')
+    assert calls
+
+
+def test_depth_limit_is_exact_on_a_chain_of_children():
+    # The walk measures the text once it meets a model 484 generations
+    # down, the first that can reach level 971.  A fresh process, as in
+    # test_depth_limit_is_exact.
+    script = """if True:
+        from gkmc.model import DocumentFormatError, load_model
+        for generations, leaf in ((484, '{"worlds": ["s"], "valuation": {}}'), (484, '{"worlds": ["s"], "valuation": {"p": []}}'),
+                                  (485, '{"worlds": ["s"]}')):
+            text = leaf
+            for _ in range(generations):
+                text = '{"worlds": ["s"], "children": {"n": ' + text + '}, "tracking": {"s": {"n": "s"}}}'
+            try:
+                print(len(load_model(text).worlds))
+            except DocumentFormatError as exc:
+                print(exc)
+    """
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=src)
+    too_deep = "document nested too deeply for the JSON decoder"
+    assert done.stdout.splitlines() == ["1", too_deep, too_deep]
 
 
 # --- invariant violations ----------------------------------------------
