@@ -138,7 +138,9 @@ class _PairLevel:
         self.covers: dict[tuple[str, str], Optional[frozenset]] = {}
 
     def _local_ok(self, u, v) -> bool:
-        """G(u,v) is surjective and holds the constants' pairs."""
+        """G(u,v) is surjective and holds the constants' pairs.  The cover
+        search would reject a non-surjective G too, but only by spending
+        budget, so this prune answers such a pair even at budget 0."""
         m, n = self.m, self.n
         g = self.g[(u, v)] = frozenset(
             (a, b)

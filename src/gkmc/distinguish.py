@@ -23,11 +23,12 @@ The stream of a setting (modal depth, vocabulary, `xi` on or off) at
 cost c is a prefix of its stream at cost c+1, so it is built once, a
 whole cost batch at a time, and shared by every reader: repeated
 `distinguish` calls, a 4-then-5 budget ladder, a paused generator.
-Equal formulas built for a stream are one object, down to the inner
-nodes of `<>` and `exists`, so an evaluator's memo finds a stream
-subformula by identity, never by a recursive `==`.  Only the most
-recent setting's stream is kept: about 4.1 MB at cost 4, modal depth 4
-over `{p}`/`{c}`, and 38 MB at cost 5.  A one-shot CLI run builds it
+Formula nodes are hash-consed (see `syntax.Formula`), so a stream
+subformula is one object wherever it occurs, and the stream's sets and
+an evaluator's memo find it by identity.  Only the most recent
+setting's stream is kept: about 4.9 MB at cost 4, modal depth 4 over
+`{p}`/`{c}`, and 46 MB at cost 5 (`scripts/stream_memory.py`).  A
+one-shot CLI run builds it
 once, as before.  `distinguish` reads the stream's list directly and
 evaluates each sentence with `Evaluator.checked_holds_at`, which checks
 no sentence: the stream has checked them.
@@ -124,8 +125,6 @@ class _Stream:
         self.props = sorted(vocab.props)
         self.consts = sorted(vocab.constants)
         self.cache: dict[tuple, tuple[Formula, ...]] = {}
-        # Formula -> its one instance in this stream.
-        self.nodes: dict[Formula, Formula] = {}
         # Formula -> (cost it was first built at, canonical text).
         self.sort_key: dict[Formula, tuple[int, str]] = {}
         self.sentences: list[Formula] = []
@@ -151,22 +150,16 @@ class _Stream:
 
     def exact(self, cost: int, modal: int, ctx: _Ctx) -> tuple[Formula, ...]:
         """All canonical formulas built with exactly `cost` connectives and
-        at most `modal` nested modal steps, in this context, each the
-        stream's one instance of its value."""
+        at most `modal` nested modal steps, in this context."""
         key = (cost, modal, ctx)
         got = self.cache.get(key)
         if got is None:
-            got = tuple(map(self.shared, self._build(cost, modal, ctx)))
+            got = tuple(self._build(cost, modal, ctx))
             for f in got:
                 if f not in self.sort_key:
                     self.sort_key[f] = (cost, format_formula(f))
             self.cache[key] = got
         return got
-
-    def shared(self, f: Formula) -> Formula:
-        """The stream's one instance of `f`'s value, `f` if it is the first.
-        Built from shared children, `f` is then shared all the way down."""
-        return self.nodes.setdefault(f, f)
 
     def _build(self, cost, modal, ctx) -> Iterator[Formula]:
         mv, ok, pending = ctx
@@ -182,23 +175,23 @@ class _Stream:
             yield _BOT  # one connective: the abbreviation expands to ~T
 
         for operand in self.exact(cost - 1, modal, ctx):
-            if not isinstance(operand, Not) and operand != _TOP:
+            if not isinstance(operand, Not) and operand is not _TOP:
                 yield Not(operand)
 
         if modal >= 1:
             for operand in self.exact(cost - 1, modal - 1, ctx):
                 yield Box(operand)
                 if not isinstance(operand, Not):
-                    yield Not(self.shared(Box(self.shared(Not(operand)))))  # diamond(operand)
+                    yield Not(Box(Not(operand)))  # diamond(operand)
 
         for left_cost in range(cost):
             right_cost = cost - 1 - left_cost
             for left in self.exact(left_cost, modal, ctx):
-                if left in (_TOP, _BOT):
+                if left is _TOP or left is _BOT:
                     continue
                 left_anchor = self.sort_key[left.right if isinstance(left, And) else left]
                 for right in self.exact(right_cost, modal, ctx):
-                    if right in (_TOP, _BOT) or isinstance(right, And):
+                    if right is _TOP or right is _BOT or isinstance(right, And):
                         continue
                     if self.sort_key[right] <= left_anchor:
                         continue
@@ -208,7 +201,7 @@ class _Stream:
         for body in self.exact(cost - 1, modal, (mv + (var,), ok, pending)):
             yield Forall(var, body)
             if not isinstance(body, Not):
-                yield Not(self.shared(Forall(var, self.shared(Not(body)))))  # exists(var, body)
+                yield Not(Forall(var, Not(body)))  # exists(var, body)
 
         if self.allow_xi:
             fvar = _FORMULA_VARS[min(len(ok) + len(pending), len(_FORMULA_VARS) - 1)]

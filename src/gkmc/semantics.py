@@ -25,8 +25,10 @@ mask.  An `Evaluator` keeps one `_ModelRecord` per model it visits:
 the model's world bits and memo table, built on the first visit, and
 its successor masks, built at the first `[]`.  The memo stores closed
 nodes only, under the node alone, as their value depends on the model
-alone; C2 makes each `xi` of a sentence closed, so every unfolding of
-`X` is a lookup.  `holds_at` answers satisfaction at one world, the
+alone; nodes are hash-consed, so the key is the node's identity and
+equal subformulas of separately built sentences share one entry.  C2
+makes each `xi` of a sentence closed, so every unfolding of `X` is a
+lookup.  `holds_at` answers satisfaction at one world, the
 paper's pointed-model question, by testing one bit of the mask;
 `checked_holds_at` does the same for a caller that has checked its
 sentences already, with the world looked up once per caller, not once
@@ -84,8 +86,9 @@ class Evaluator:
     A model's memo table keys each closed node (no free model or formula
     variables by `free_vars`) by the node alone, its value depending on
     the model alone, so entries are reused across worlds, conjuncts,
-    sentence streams and the interpretations given to `formula_worlds`;
-    open nodes are evaluated each time.  The records hold their models
+    sentences and the interpretations given to `formula_worlds`; a
+    lookup hashes and compares by identity, as nodes are hash-consed.
+    Open nodes are evaluated each time.  The records hold their models
     for the evaluator's lifetime.  `use_memo=False` runs the same clauses
     with no memo table; the test suite checks both paths against an
     independent set-based evaluator.  `_eval` holds all nine clauses, so

@@ -34,20 +34,23 @@ level, and the stored tree, derived forms expanded, is at most
 `MAX_NESTING` edges deep.  Deeper input is a `GrammarError`, so no later
 recursive walk exhausts the stack.
 
-Formula values are immutable and compare structurally; there is no
-alpha-equivalence.  Trees built separately (by `parse` or by the
-constructors) are equal and hash equal when their structure is, and
-nodes of different types never compare equal.  Each node caches its
-hash and its free-variable summary the first time they are asked for
-(see `Formula`), so a tree shared by many memo tables, sets and sentence
-checks pays for each once.
+Formula values are immutable and hash-consed: the constructors return
+one object per value (see `Formula`), so trees built separately (by
+`parse` or by the constructors) with the same structure are the same
+object, and equality and hashing are identity.  There is no
+alpha-equivalence, and nodes of different types are never equal.  Each
+node caches its free-variable summary the first time it is asked for,
+so a subtree shared by many sentences, memo tables and sentence checks
+pays for it once.
 """
 
 from __future__ import annotations
 
 import re
+import threading
 from operator import attrgetter
 from typing import Iterator, NamedTuple, Optional
+from weakref import WeakValueDictionary
 
 
 _set = object.__setattr__  # how a frozen value's __init__ sets its fields
@@ -67,7 +70,8 @@ class Record:
     attribute raises `AttributeError`.  A class whose constructor
     validates or sets defaults writes its own `__init__`, setting the
     fields with `_set`; a value that hashes by identity sets `__eq__`
-    and `__hash__` back to `object`'s.
+    and `__hash__` back to `object`'s.  `_fields` states the argument
+    rule once, for `__init__` and for `Formula.__new__`.
     """
 
     __slots__ = ()
@@ -81,14 +85,19 @@ class Record:
         cls._values = staticmethod(getter)
 
     def __init__(self, *args, **kwargs):
-        names = self.__match_args__
+        for name, value in zip(self.__match_args__, self._fields(args, kwargs)):
+            _set(self, name, value)
+
+    @classmethod
+    def _fields(cls, args: tuple, kwargs: dict) -> tuple:
+        """The constructor's arguments as a tuple of field values, in order."""
+        names = cls.__match_args__
         if kwargs or len(args) != len(names):
             rest = names[len(args):]
             if len(args) > len(names) or kwargs.keys() != set(rest):
-                raise TypeError(f"{type(self).__qualname__}() takes each of {names} once, by position or by keyword")
+                raise TypeError(f"{cls.__qualname__}() takes each of {names} once, by position or by keyword")
             args += tuple([kwargs[name] for name in rest])
-        for name, value in zip(names, args):
-            _set(self, name, value)
+        return args
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -113,97 +122,77 @@ class Record:
 
 
 class Formula(Record):
-    """Base class of formula nodes.
+    """Base class of formula nodes, hash-consed: equal values are one object.
 
-    A node class is a `Record`: equality, the field getter and pickling
-    come from there, and every node class hashes by `Formula.__hash__`.
-    Each node class writes its own `__init__`, the call every parse and
-    stream build makes.  Nodes of different classes never compare equal.
+    `Formula.__new__`, every node class's constructor, returns the node
+    `_nodes` holds under `(class, *fields)`, children keyed by identity,
+    or enters a new one.  So equality and hashing are `object`'s, and
+    unpickling and copying, which call the constructor, give the very
+    node.  `_nodes` is weak: an entry lives while its node does, and its
+    key holds only what the node holds, so no live key's child can die
+    and pass its identity on.  A dead node's entry leaves through the
+    weak dictionary's own atomic callback, which takes no lock, as cyclic
+    GC can run anywhere.  A miss builds the node, then enters it under
+    `_intern_lock`, re-checked, so threads that miss together get one.
 
-    Slots cache per-node facts that never change once the node exists:
-    `_hash` (first `hash()`) and `_free` (first `free_vars`, which also
-    gives `check_sentence` its verdict).  They are not fields, so
-    equality, `repr`, `__match_args__` and the pickled state of a node
-    ignore them; an unpickled or copied node fills them again on first
-    use.  Racing threads at worst compute a value twice.  Each `__init__`
-    sets both to None, so a read never raises: a raised and caught
-    `AttributeError` on the first read costs more than both stores, and
+    The `_free` slot caches `free_vars` (which also gives
+    `check_sentence` its verdict) on first use; `repr`, `__match_args__`
+    and the pickled state ignore it, and racing threads at worst compute
+    it twice.  A new node sets it to None, so a read never raises: a
+    caught `AttributeError` costs more than the store, and
     `getattr(node, name, None)` slows every later read.
     """
 
-    __slots__ = ("_hash", "_free")
+    __slots__ = ("_free", "__weakref__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+    __init__ = object.__init__  # `__new__` has set the fields
 
-    def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            # The children cache their own hashes, so this costs one level.
-            h = hash((type(self), *self._values(self)))
-            _set(self, "_hash", h)
-        return h
+    def __new__(cls, *args, **kwargs):
+        fields = cls._fields(args, kwargs)
+        key = (cls, *fields)
+        node = _nodes.get(key)
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields):
+                _set(node, name, value)
+            _set(node, "_free", None)
+            with _intern_lock:
+                node = _nodes.setdefault(key, node)
+        return node
+
+
+# Every live formula node, under `(class, *fields)`; see `Formula`.
+_nodes: WeakValueDictionary = WeakValueDictionary()
+_intern_lock = threading.Lock()
 
 
 class Top(Formula):
     __slots__ = ()
 
-    def __init__(self):
-        _set(self, "_hash", None)
-        _set(self, "_free", None)
-
 
 class Prop(Formula):
     __slots__ = __match_args__ = ("name",)
-
-    def __init__(self, name: str):
-        _set(self, "name", name)
-        _set(self, "_hash", None)
-        _set(self, "_free", None)
 
 
 class FormulaVar(Formula):
     __slots__ = __match_args__ = ("name",)
 
-    def __init__(self, name: str):
-        _set(self, "name", name)
-        _set(self, "_hash", None)
-        _set(self, "_free", None)
-
 
 class Not(Formula):
     __slots__ = __match_args__ = ("operand",)
-
-    def __init__(self, operand: Formula):
-        _set(self, "operand", operand)
-        _set(self, "_hash", None)
-        _set(self, "_free", None)
 
 
 class And(Formula):
     __slots__ = __match_args__ = ("left", "right")
 
-    def __init__(self, left: Formula, right: Formula):
-        _set(self, "left", left)
-        _set(self, "right", right)
-        _set(self, "_hash", None)
-        _set(self, "_free", None)
-
 
 class Box(Formula):
     __slots__ = __match_args__ = ("operand",)
 
-    def __init__(self, operand: Formula):
-        _set(self, "operand", operand)
-        _set(self, "_hash", None)
-        _set(self, "_free", None)
-
 
 class Forall(Formula):
     __slots__ = __match_args__ = ("var", "body")
-
-    def __init__(self, var: str, body: Formula):
-        _set(self, "var", var)
-        _set(self, "body", body)
-        _set(self, "_hash", None)
-        _set(self, "_free", None)
 
 
 class Xi(Formula):
@@ -211,35 +200,17 @@ class Xi(Formula):
 
     __slots__ = __match_args__ = ("var", "body")
 
-    def __init__(self, var: str, body: Formula):
-        _set(self, "var", var)
-        _set(self, "body", body)
-        _set(self, "_hash", None)
-        _set(self, "_free", None)
-
 
 class QueryVar(Formula):
     """`?[body] var`: evaluate body in the child process named by a model variable."""
 
     __slots__ = __match_args__ = ("body", "var")
 
-    def __init__(self, body: Formula, var: str):
-        _set(self, "body", body)
-        _set(self, "var", var)
-        _set(self, "_hash", None)
-        _set(self, "_free", None)
-
 
 class QueryConst(Formula):
     """`?[body] #const`: evaluate body in the child process a constant points to."""
 
     __slots__ = __match_args__ = ("body", "const")
-
-    def __init__(self, body: Formula, const: str):
-        _set(self, "body", body)
-        _set(self, "const", const)
-        _set(self, "_hash", None)
-        _set(self, "_free", None)
 
 
 def bot() -> Formula:
@@ -515,7 +486,7 @@ def _level(f: Formula) -> int:
 
 
 def format_formula(f: Formula) -> str:
-    """Canonical text; `parse(format_formula(f))` is structurally equal to `f`."""
+    """Canonical text; `parse(format_formula(f))` is `f`."""
     return _fmt(f, 0)
 
 

@@ -43,6 +43,18 @@ TINY = _digest_script.TINY
 twins_and_retrack = _digest_script.twins_and_retrack
 
 
+# One child `a` against two, `b1` and `b2`: every leaf has one world `w`,
+# `p` holds everywhere but at `b2`, and every child is tracked at `w`.
+_LEAF_P = {"worlds": ["w"], "valuation": {"p": ["w"]}}
+ONE_CHILD = {"worlds": ["w"], "valuation": {"p": ["w"]}, "children": {"a": _LEAF_P}, "tracking": {"w": {"a": "w"}}}
+TWO_CHILDREN = {
+    "worlds": ["w"],
+    "valuation": {"p": ["w"]},
+    "children": {"b1": _LEAF_P, "b2": {"worlds": ["w"], "valuation": {"p": []}}},
+    "tracking": {"w": {"b1": "w", "b2": "w"}},
+}
+
+
 @pytest.fixture(scope="session")
 def de_dicto():
     return load_model_file(FIXTURES / "de_dicto.gkm.json")

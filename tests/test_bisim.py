@@ -24,7 +24,7 @@ from gkmc.model import GenealogicalModel, PointedModel, dump_model, load_model, 
 from gkmc.semantics import holds_at
 from gkmc.syntax import Vocabulary, format_formula
 
-from conftest import TINY, load_script, twins_and_retrack
+from conftest import ONE_CHILD, TINY, TWO_CHILDREN, load_script, twins_and_retrack
 
 
 W8 = dict(max_worlds=8, max_children=4, max_depth=2, edge_density=0.4)
@@ -223,6 +223,17 @@ def test_budget_exhaustion_is_distinct():
     with pytest.raises(BudgetExceededError):
         bisimilar(pm, pr, budget=0)
     assert bisimilar(pm, pr).bisimilar
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["one-then-two", "two-then-one"])
+def test_a_non_surjective_child_relation_is_refuted_with_no_budget(flip):
+    # `b2` matches no child on the other side, so G(w, w) misses a label
+    # and the pair is dropped before any search node is spent.
+    pm, pn = (_pointed(load_model(json.dumps(doc))) for doc in (ONE_CHILD, TWO_CHILDREN))
+    if flip:
+        pm, pn = pn, pm
+    assert bisimilar(pm, pn, budget=0) == BisimVerdict(False, None)
+    assert not brute_force_bisim(pm, pn)
 
 
 @pytest.mark.parametrize("budget", [-1, 1.5, "5"])

@@ -15,7 +15,7 @@ from gkmc.generate import GenSpec, dup_child, gen_model, gen_sentence, rename_wo
 from gkmc.model import PointedModel, dump_model, load_model, load_model_file
 from gkmc.syntax import Vocabulary, format_formula
 
-from conftest import fixture_path, load_script
+from conftest import ONE_CHILD, TWO_CHILDREN, fixture_path, load_script
 from input_corpus import mutated_documents
 
 
@@ -308,6 +308,19 @@ def test_bisim_budget_exhausted_is_unknown(capsys, tmp_path):
     assert "unknown" in out
     code, out = run(capsys, "bisim", fixture_path("de_dicto.gkm.json"), "s0", str(renamed), "rs0")
     assert (code, out) == (0, "bisimilar\n")
+
+
+def test_bisim_non_surjective_children_fail_with_no_budget(capsys, tmp_path):
+    # One child against two, one of which matches nothing: the decider
+    # answers without a search node, so a zero budget is no cutoff.
+    paths = []
+    for name, doc in (("one", ONE_CHILD), ("two", TWO_CHILDREN)):
+        paths.append(tmp_path / f"{name}.gkm.json")
+        paths[-1].write_text(json.dumps(doc))
+    for a, b in (paths, paths[::-1]):
+        code, out = run(capsys, "--json", "bisim", str(a), "w", str(b), "w", "--budget", "0")
+        assert code == 1
+        assert json.loads(out)["bisimilar"] is False
 
 
 @pytest.mark.parametrize("flags", [["--budget", "-1"]], ids=["--budget"])

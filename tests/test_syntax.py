@@ -360,8 +360,9 @@ def test_nodes_of_different_types_differ_in_hash(left, right):
     ],
 )
 def test_separately_built_trees_are_equal_and_hash_equal(text, built):
+    # Formula nodes are hash-consed: a value built twice is one object.
     parsed = parse(text, VOCAB)
-    assert parsed is not built
+    assert parsed is built
     assert parsed == built
     assert hash(parsed) == hash(built)
 

@@ -1,7 +1,9 @@
 """The contract of gkmc's immutable values: formula nodes and records.
 
-Each case builds a value twice from scratch, so equality and hashing are
-checked between separate objects, never by identity.  The `repr` texts
+Each case builds a value twice from scratch.  A record's two builds are
+separate objects, so its equality and hashing are checked between them;
+a formula node's two builds are one object, since nodes are hash-consed
+(`syntax.Formula`).  The `repr` texts
 and field orders are the ones the package has always printed.  The
 checks `__init__` makes are tested with their modules
 (`test_pointed_model_at_an_unknown_world_is_refused`,
@@ -9,11 +11,13 @@ checks `__init__` makes are tested with their modules
 """
 
 import copy
+import gc
 import os
 import pathlib
 import pickle
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -21,6 +25,7 @@ from gkmc.bisim import BisimVerdict, BisimWitness, WitnessReport
 from gkmc.distinguish import EnumerationBudget
 from gkmc.generate import GenSpec
 from gkmc.model import GenealogicalModel, ModelDiagnostics, ModelViolation, PointedModel, dump_model, replace_model
+from gkmc import syntax
 from gkmc.syntax import (
     And,
     Box,
@@ -32,7 +37,6 @@ from gkmc.syntax import (
     Prop,
     QueryConst,
     QueryVar,
-    Record,
     SentenceDiagnostics,
     SentenceViolation,
     Top,
@@ -40,6 +44,7 @@ from gkmc.syntax import (
     Xi,
     bot,
     format_formula,
+    subformulas,
 )
 
 from conftest import gen_formula
@@ -126,7 +131,7 @@ def _ids(cases):
 @pytest.mark.parametrize("build,text", STRUCTURAL, ids=_ids(STRUCTURAL))
 def test_separately_built_values_are_equal_and_hash_equal(build, text):
     a, b = build(), build()
-    assert a is not b
+    assert (a is b) == isinstance(a, Formula)
     assert a == b and not a != b
     assert hash(a) == hash(b)
 
@@ -151,12 +156,12 @@ def test_values_are_frozen(build, text):
 def test_pickle_and_copies_round_trip(build, text):
     value = build()
     structural = (build, text) in STRUCTURAL
-    if structural:
-        hash(value)  # a node caches it in a slot, which its copies must not carry
     for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
         assert type(twin) is type(value) and repr(twin) == text
         if structural:
             assert twin == value and hash(twin) == hash(value)
+        if isinstance(value, Formula):  # rebuilt through the constructor, so interned
+            assert twin is value
 
 
 @pytest.mark.parametrize(
@@ -227,17 +232,20 @@ PLAIN = (
     BisimVerdict, WitnessReport, BisimWitness,
 )
 PLAIN_CASES = [(build, text) for build, text in EVERY if type(build()) in PLAIN]
+# Formula nodes take their fields the same way, through `Formula.__new__`.
+NODE_CASES = [(build, text) for build, text in STRUCTURAL if isinstance(build(), Formula)]
 
 
 def test_plain_records_and_formula_nodes_inherit_construction_and_equality():
     assert len(PLAIN_CASES) == len(PLAIN)
     assert [cls.__name__ for cls in PLAIN if "__init__" in vars(cls)] == []
-    nodes = [build() for build, _ in STRUCTURAL if isinstance(build(), Formula)]
-    assert [type(node).__name__ for node in nodes if "__eq__" in vars(type(node))] == []
+    nodes = [build() for build, _ in NODE_CASES]
+    assert [type(node).__name__ for node in nodes if {"__init__", "__eq__", "__hash__"} & vars(type(node)).keys()] == []
     assert "__init_subclass__" not in vars(Formula)
+    assert Formula.__slots__ == ("_free", "__weakref__")
 
 
-@pytest.mark.parametrize("build,text", PLAIN_CASES, ids=_ids(PLAIN_CASES))
+@pytest.mark.parametrize("build,text", PLAIN_CASES + NODE_CASES, ids=_ids(PLAIN_CASES + NODE_CASES))
 def test_plain_records_build_alike_by_position_and_by_keyword(build, text):
     value = build()
     cls, names = type(value), type(value).__match_args__
@@ -246,6 +254,8 @@ def test_plain_records_build_alike_by_position_and_by_keyword(build, text):
     assert repr(by_position) == repr(by_keyword) == text
     if cls is not BisimWitness:  # it hashes by identity
         assert by_position == by_keyword == value and hash(by_keyword) == hash(value)
+    if isinstance(value, Formula):
+        assert by_position is by_keyword is value
 
 
 @pytest.mark.parametrize(
@@ -258,26 +268,79 @@ def test_plain_records_build_alike_by_position_and_by_keyword(build, text):
         lambda: ModelViolation("t", "p", "m", tag="u"),
         lambda: ModelViolation("t", "p", "m", "x"),
         lambda: ModelDiagnostics(),
+        lambda: And(Top()),
+        lambda: And(left=Top(), rigth=Top()),
+        lambda: Not(Top(), extra=1),
+        lambda: QueryVar(Top(), "x", body=Top()),
+        lambda: Not(Top(), Top()),
+        lambda: Prop(),
+        lambda: Top(Top()),
+        lambda: Prop(["p"]),
     ],
-    ids=["missing", "missing-keyword", "unknown", "unknown-extra", "positional-and-keyword", "surplus", "none"],
+    ids=[
+        "missing", "missing-keyword", "unknown", "unknown-extra", "positional-and-keyword", "surplus", "none",
+        "node-missing", "node-unknown", "node-unknown-extra", "node-positional-and-keyword", "node-surplus",
+        "node-none", "node-no-fields", "node-unhashable",
+    ],
 )
 def test_a_record_given_wrong_fields_raises_type_error(build):
+    # A formula node is interned under its fields, so an unhashable one
+    # fails when the node is built.
     with pytest.raises(TypeError):
         build()
 
 
-def test_format_formula_makes_no_formula_equality_call(monkeypatch):
+def test_format_formula_makes_no_formula_equality_call():
+    # Formula equality is identity, so no equality call walks a tree:
+    # every node class has `object`'s, and printing needs none at all.
     vocab = Vocabulary.of(props=["p", "q", "r"], constants=["c", "d"])
     corpus = [gen_formula(seed, vocab, max_connectives=8) for seed in range(300)]
     corpus += [bot(), Not(bot()), And(bot(), Not(Not(Top()))), Box(Not(Prop("p")))]
+    assert {type(f).__eq__ for f in corpus} == {object.__eq__}
     texts = [format_formula(f) for f in corpus]
-    record_eq = Record.__eq__
-
-    def eq(self, other):
-        if isinstance(self, Formula):
-            raise AssertionError(f"formula equality: {self!r} == {other!r}")
-        return record_eq(self, other)
-
-    monkeypatch.setattr(Record, "__eq__", eq)
-    assert [format_formula(f) for f in corpus] == texts
     assert texts[300:] == ["F", "~F", "F & ~F", "[]~p"]
+
+
+# A vocabulary no other test uses, so a corpus over it starts with none
+# of its compound nodes in the intern table.
+_FRESH = Vocabulary.of(props=["intern_p", "intern_q"], constants=["intern_c"])
+
+
+def _corpus(count=300):
+    return [gen_formula(seed, _FRESH, max_connectives=10) for seed in range(count)]
+
+
+def test_threads_building_one_corpus_get_the_same_nodes():
+    results = [None] * 4
+    start = threading.Barrier(len(results))
+
+    def build(i):
+        start.wait()
+        results[i] = _corpus(2_000)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,)) for i in range(len(results))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    first = results[0]
+    for other in results[1:]:
+        assert len(other) == len(first) and all(a is b for a, b in zip(first, other))
+    # Every subformula too, not only the roots.
+    parts = [{id(node) for f in corpus for _, node in subformulas(f)} for corpus in results]
+    assert parts[1:] == parts[:1] * 3
+
+
+def test_dropped_nodes_leave_the_intern_table():
+    gc.collect()
+    before = len(syntax._nodes)
+    corpus = _corpus()
+    assert len(syntax._nodes) > before
+    del corpus
+    gc.collect()
+    assert len(syntax._nodes) == before
