@@ -28,10 +28,11 @@ subformula is one object wherever it occurs, and the stream's sets and
 an evaluator's memo find it by identity.  Only the most recent
 setting's stream is kept: about 4.9 MB at cost 4, modal depth 4 over
 `{p}`/`{c}`, and 46 MB at cost 5 (`scripts/stream_memory.py`).  A
-one-shot CLI run builds it
-once, as before.  `distinguish` reads the stream's list directly and
-evaluates each sentence with `Evaluator.checked_holds_at`, which checks
-no sentence: the stream has checked them.
+one-shot CLI run builds it once, as before.  `distinguish` reads the
+stream's list directly and evaluates each sentence once, over the
+disjoint union of the two models (`Evaluator.checked_masks`, which
+checks no sentence: the stream has checked them), reading its value at
+each pointed world off one bit.
 
 Bisimilar pointed models agree on every sentence (the invariance
 result, which the tests check on the stream directly), so on a bisimilar
@@ -245,16 +246,15 @@ def enumerate_sentences(budget: EnumerationBudget) -> Iterator[Formula]:
 
 def distinguish(pm: PointedModel, pn: PointedModel, budget: EnumerationBudget) -> Optional[Formula]:
     """First enumerated sentence the two pointed models disagree on, or
-    None when the whole fragment agrees.  Each sentence is asked at both
-    pointed worlds on one shared evaluator, with no sentence check (the
-    stream checked it when it was built), and every hit is re-verified
-    by an independent unmemoized evaluation before being returned.  Just
+    None when the whole fragment agrees.  Each sentence is evaluated once,
+    over the disjoint union of the two models, with no sentence check (the
+    stream checked it when it was built), and its value at each pointed
+    world read off one bit.  Before a hit is returned, an unmemoized
+    evaluation of each side on its own must give it the same value.  Just
     before the last cost batch, a checked proof of bisimilarity answers
     None without reading that batch."""
     stream = _stream_for(budget)
-    ev = Evaluator()  # one record per model, so both sides share it
-    holds_m = ev.checked_holds_at(pm.model, pm.world)
-    holds_n = ev.checked_holds_at(pn.model, pn.world)
+    worlds, (bit_m, bit_n) = Evaluator().checked_masks(pm, pn)
     last = budget.max_connective_depth
     start = 0
     for cost in range(last + 1):
@@ -262,12 +262,12 @@ def distinguish(pm: PointedModel, pn: PointedModel, budget: EnumerationBudget) -
             return None
         end = stream.end(cost)
         for sentence in stream.sentences[start:end]:
-            if holds_m(sentence) != holds_n(sentence):
-                fresh_m = holds_at(pm.model, pm.world, sentence, use_memo=False)
-                fresh_n = holds_at(pn.model, pn.world, sentence, use_memo=False)
-                if fresh_m == fresh_n:
+            mask = worlds(sentence)
+            if (not mask & bit_m) != (not mask & bit_n):
+                held = [bool(mask & bit_m), bool(mask & bit_n)]
+                if held != [holds_at(p.model, p.world, sentence, use_memo=False) for p in (pm, pn)]:
                     raise RuntimeError(
-                        f"memoized and direct evaluation disagree on {format_formula(sentence)!r}"
+                        f"evaluation over the pair and direct evaluation disagree on {format_formula(sentence)!r}"
                     )
                 return sentence
         start = end

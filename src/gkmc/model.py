@@ -61,12 +61,17 @@ class GenealogicalModel(Record):
         assignment: dict[str, dict[str, str]],  # world -> constant -> child label
         tracking: dict[str, dict[str, str]],  # world -> child label -> child world
     ):
-        _set(self, "worlds", worlds)
-        _set(self, "relation", relation)
-        _set(self, "valuation", valuation)
-        _set(self, "children", children)
-        _set(self, "assignment", assignment)
-        _set(self, "tracking", tracking)
+        _set_worlds(self, worlds)  # the slots' own setters: faster than `_set`
+        _set_relation(self, relation)
+        _set_valuation(self, valuation)
+        _set_children(self, children)
+        _set_assignment(self, assignment)
+        _set_tracking(self, tracking)
+
+
+_set_worlds, _set_relation, _set_valuation, _set_children, _set_assignment, _set_tracking = (
+    vars(GenealogicalModel)[name].__set__ for name in GenealogicalModel.__slots__
+)
 
 
 def replace_model(m: GenealogicalModel, **changes) -> GenealogicalModel:

@@ -460,6 +460,15 @@ def test_a_hit_the_direct_evaluations_do_not_confirm_is_an_error(monkeypatch):
     assert calls == [(one, "p", False), (none, "p", False)]
 
 
+def test_a_hit_whose_values_the_direct_evaluations_swap_is_an_error(monkeypatch):
+    # Each side's direct evaluation must give the value the pair record gave it.
+    one = load_model('{"worlds": ["w0"], "valuation": {"p": ["w0"]}}')
+    none = load_model('{"worlds": ["w0"]}')
+    monkeypatch.setattr(_distinguish_module, "holds_at", lambda model, world, sentence, use_memo=True: model is none)
+    with pytest.raises(RuntimeError, match="disagree on 'p'"):
+        distinguish(_pointed(one), _pointed(none), EnumerationBudget(2, 2, P_ONLY))
+
+
 # --- the proof of bisimilarity before the last batch -------------------------
 
 
@@ -478,6 +487,31 @@ def _last_batch_separated_pair():
             if separator is not None and distinguish(pa, pb, EnumerationBudget(cost - 1, 4, P_C)) is None:
                 return pa, pb, separator, budget
     raise AssertionError("no pair separated only at cost 2 or more")
+
+
+def test_the_sweep_evaluates_each_sentence_once_over_the_pair(monkeypatch, empty_stream):
+    # An exhausting pair at (3,3): with the proof switched off, the search
+    # reads the whole stream.  Each sentence is one entry into `_eval`, at
+    # the record over both models; recursive calls are not entries.
+    pm, pn = _dup_child_pair()
+    budget = EnumerationBudget(3, 3, P_C)
+    monkeypatch.setattr(_distinguish_module, "_proved_bisimilar", lambda *args: False)
+    entries, depth, evaluate = [], [0], Evaluator._eval
+
+    def counted(self, r, f, mv, fv):
+        if not depth[0]:
+            entries.append((tuple(r.parts), f))
+        depth[0] += 1
+        try:
+            return evaluate(self, r, f, mv, fv)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Evaluator, "_eval", counted)
+    assert distinguish(pm, pn, budget) is None
+    stream = _distinguish_module._stream.sentences
+    assert len(stream) == 603
+    assert entries == [((pm.model, pn.model), sentence) for sentence in stream]
 
 
 def test_bisimilar_pair_skips_the_last_batch(empty_stream):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gkmc.distinguish import EnumerationBudget, enumerate_sentences
-from gkmc.generate import GenSpec, gen_model, gen_sentence
-from gkmc.model import load_model, load_model_file, model_vocabulary
+from gkmc.generate import GenSpec, SplitMix64, break_child, derive, dup_child, gen_model, gen_sentence
+from gkmc.model import PointedModel, load_model, load_model_file, model_vocabulary, replace_model
 from gkmc.semantics import (
     Evaluator,
     NotASentenceError,
@@ -28,6 +28,7 @@ from gkmc.syntax import (
     Vocabulary,
     Xi,
     diamond,
+    format_formula,
     free_vars,
     parse,
 )
@@ -385,3 +386,78 @@ def test_holds_at_is_membership_in_the_sentence_worlds(seed, use_memo):
     assert not isinstance(err.value, NotASentenceError)
     with pytest.raises(NotASentenceError):
         shared.holds_at(m, m.worlds[0], open_formula)
+
+
+# --- several models in one record --------------------------------------------
+
+PAIR_VOCAB = Vocabulary.of(props=["p", "q"], constants=["c"])
+PAIR_SHAPES = ("independent", "childless", "dup_child", "break_child", "constant_one_side")
+# `forall` over `[]`, `xi` and queries, with bodies false where no child is
+# bound, so a part without a label must hold there vacuously.
+PAIR_SENTENCES = [
+    "forall x. ~?[p] x",
+    "forall x. [] ?[p] x",
+    "[] forall x. ?[<> q] x",
+    "forall x. ?[xi X. (p | exists y. ?[X] y)] x",
+    "xi X. forall x. ?[X | p] x",
+    "exists x. ?[p] x & ~?[p] #c",
+    "forall x. forall y. (?[p] x | ~?[q] y)",
+    "?[forall x. ~?[p] x] #c",
+    "~?[~q] #c",
+]
+
+
+def _with_children(seed, **spec):
+    for attempt in range(100):
+        m = gen_model(GenSpec(seed=derive(seed, attempt), **spec))
+        if m.children:
+            return m
+    raise AssertionError(f"no model with children for seed {seed}")
+
+
+def _record_pair(seed, shape):
+    """Two models whose union tests one way a part can differ from another:
+    label sets (`independent`, `childless`, `dup_child`: a label on one side
+    only), children shared by both sides (`dup_child`, `break_child`,
+    `constant_one_side`) and a constant defined on one side only."""
+    m = _with_children(seed, max_worlds=4, max_children=3, max_depth=2, prop_count=2, constant_count=1, edge_density=0.4)
+    rng = SplitMix64(seed)
+    label = rng.choice(sorted(m.children))
+    if shape == "independent":
+        return m, _with_children(seed + 1, max_worlds=3, max_children=2, max_depth=2, prop_count=2, constant_count=1)
+    if shape == "childless":
+        return m, gen_model(GenSpec(seed=seed, max_worlds=3, max_children=0, max_depth=0, prop_count=2))
+    if shape == "dup_child":
+        return m, dup_child(m, label)
+    if shape == "break_child":
+        return m, break_child(m, label, "p", rng.choice(m.children[label].worlds))
+    return m, replace_model(m, assignment={})
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.sampled_from(PAIR_SHAPES), st.booleans())
+def test_each_part_of_a_pair_record_evaluates_as_its_own_model(seed, shape, use_memo):
+    m, n = _record_pair(seed, shape)
+    pointed = [PointedModel(k, w) for k in (m, n) for w in k.worlds]
+    pair, bits = Evaluator(use_memo).checked_masks(*pointed)  # one record, reused across the sentences
+    memoized = Evaluator()
+    evaluators = {
+        "memoized": memoized.sentence_worlds,
+        "unmemoized": lambda k, s: evaluate_sentence(k, s, use_memo=False),
+        "reference": lambda k, s: _reference(k, s, {}, {}),
+    }
+    sentences = [parse(text, PAIR_VOCAB) for text in PAIR_SENTENCES]
+    sentences += [gen_sentence(seed * 3 + k, PAIR_VOCAB, max_connectives=8) for k in range(3)]
+    for s in sentences:
+        mask = pair(s)
+        got = [bool(mask & bit) for bit in bits]
+        for name, worlds_of in evaluators.items():
+            sets = {k: worlds_of(k, s) for k in (m, n)}
+            assert got == [p.world in sets[p.model] for p in pointed], (shape, name, format_formula(s))
+
+
+def test_a_pair_record_has_a_part_per_distinct_model(de_dicto):
+    one, two = PointedModel(de_dicto, "s0"), PointedModel(de_dicto, "s1")
+    pair, (bit_one, bit_two) = Evaluator().checked_masks(one, two)
+    assert bit_one != bit_two
+    assert pair(Top()) == (1 << len(de_dicto.worlds)) - 1
