@@ -16,8 +16,11 @@ each round; a round times the side's Q queries one after the other.
 
 Printed per side: the median over rounds of the mean time per query,
 p50 and p90 over every timed query, and how many rounds the side had the
-lower mean.  Also printed: queries whose check failed and queries whose
-answers differ between the sides.  Fresh processes of one tree can differ
+lower mean.  When the workload's inputs carry a `population` (as
+`bisim_witness`'s `tiny`, `dup` and `break` do), each side also gets
+the median over rounds of its mean time per query in each population.
+Also printed: queries whose check failed and queries whose answers
+differ between the sides.  Fresh processes of one tree can differ
 by more than a change does, which is why the two sides share one
 process.  The script prints and gates nothing: it exits 0 unless it
 cannot run.  Standard library only.
@@ -63,6 +66,8 @@ class _Side:
         self.wrong = sum(self.workload.check(inp, out).startswith("wrong") for inp, out in zip(self.inputs, self.answers))
         self.round_means: list[float] = []
         self.latencies: list[float] = []
+        # population -> per-round mean over that population's queries
+        self.populations: dict[str, list[float]] = {}
         self.wins = 0
 
     def run_round(self) -> float:
@@ -73,6 +78,12 @@ class _Side:
             times.append(_clock() - t0)
         self.latencies += times
         self.round_means.append(statistics.fmean(times))
+        groups: dict[str, list[float]] = {}
+        for inp, t in zip(self.inputs, times):
+            if hasattr(inp, "population"):
+                groups.setdefault(inp.population, []).append(t)
+        for population, group in groups.items():
+            self.populations.setdefault(population, []).append(statistics.fmean(group))
         return self.round_means[-1]
 
 
@@ -112,6 +123,8 @@ def main() -> int:
             f"  p50 {_quantile(side.latencies, 0.5) * 1e3:.3f} ms  p90 {_quantile(side.latencies, 0.9) * 1e3:.3f} ms"
             f"  rounds won {side.wins}/{args.rounds}  wrong answers {side.wrong}"
         )
+        for population, means in side.populations.items():
+            print(f"    {population:>9}: median per-query {statistics.median(means) * 1e6:9.1f} us")
     ratio = statistics.median(new.round_means) / statistics.median(old.round_means)
     print(f"  new/old median per-query time: {ratio:.3f}")
     differing = sum(a != b for a, b in zip(old.answers, new.answers))

@@ -26,14 +26,16 @@ G(q), and the reached pairs lie in the fixpoint of H = f(s,t).
 Candidate sets are zig/zag-closed and agree on atoms, so lie in P, plain
 bisimilarity (atoms, zig/zag).  Each `bisimilar` call builds a context
 that computes P on construction by partition refinement (Kanellakis &
-Smolka 1990) over the disjoint union of every (submodel, world) of both
-input trees; restricted to two of its components, P of a disjoint union
-is P of those two, since a world's class depends on the worlds it
-reaches alone.  So `decide` answers False at once for a pair outside P,
-building no level, the one table per model pair that holds G, the
-candidates, the fixpoints and each world pair's cover and each cover's
-witness.  A level makes child decisions only at pairs in P: P ∩ L and L,
-the locally ok pairs, share their greatest zig/zag-closed subset.
+Smolka 1990) over the disjoint union of the distinct frames (worlds,
+relation, valuation on the vocabulary's props) of both input trees.  A
+world's class depends on its atoms and the worlds it reaches alone, so
+on its frame: models of one frame share one class map, and P on two
+components of the union is P between them.  So `decide` answers False
+at once for a pair outside P, building no level, the one table per model
+pair that holds G, the candidates, the fixpoints and each world pair's
+cover and each cover's witness.  A level makes child decisions only at
+pairs in P: P ∩ L and L, the locally ok pairs, share their greatest
+zig/zag-closed subset.
 
 Bisimilarity is reflexive, and `decide` answers by reflexivity, before
 any level, a pair of models that are one structure at one world.  Call
@@ -242,28 +244,33 @@ class _Ctx:
         self.equal: dict[tuple[GenealogicalModel, GenealogicalModel], bool] = {}
         self.identities: dict[GenealogicalModel, BisimWitness] = {}
         # Per model under `roots`: its successor table and each world's
-        # plain-bisimilarity class, ids shared by all.  Split every
-        # (submodel, world) by atoms, then by class and successors'
-        # classes, until the class count over all of them stops growing.
+        # plain-bisimilarity class, ids shared by all.  Both read only its
+        # frame (worlds, relation, valuation on `vocab.props`), which keys
+        # them.  Split every (frame, world) by atoms, then by class and
+        # successors' classes, until the class count stops growing.
         self.succ: dict[GenealogicalModel, dict[str, tuple[str, ...]]] = {}
         self.classes: dict[GenealogicalModel, dict[str, int]] = {}
+        props = sorted(vocab.props)
+        frames: dict[tuple, GenealogicalModel] = {}  # frame -> its first model
         todo = list(roots)
         while todo:
             m = todo.pop()
-            if m not in self.succ:
-                self.succ[m] = _successors(m)
+            if m not in self.classes:
+                first = frames.setdefault((m.worlds, m.relation, *[m.valuation.get(p) or () for p in props]), m)
+                self.succ[m] = _successors(m) if first is m else self.succ[first]
+                self.classes[m] = {} if first is m else self.classes[first]
                 todo.extend(m.children.values())
-        nodes = [(m, w) for m in self.succ for w in m.worlds]
+        nodes = [(m, w) for m in frames.values() for w in m.worlds]
         index = {node: k for k, node in enumerate(nodes)}
         succ = [[index[m, w2] for w2 in self.succ[m][w]] for m, w in nodes]
         ids: dict = {}
-        cls = [ids.setdefault(tuple(w in m.valuation.get(p, ()) for p in vocab.props), len(ids)) for m, w in nodes]
+        cls = [ids.setdefault(tuple(w in m.valuation.get(p, ()) for p in props), len(ids)) for m, w in nodes]
         count = 0
         while len(ids) > count:
             count, ids, prev = len(ids), {}, cls
             cls = [ids.setdefault((c, frozenset(map(prev.__getitem__, ts))), len(ids)) for c, ts in zip(prev, succ)]
         for (m, w), c in zip(nodes, cls):
-            self.classes.setdefault(m, {})[w] = c
+            self.classes[m][w] = c
 
     def decide(self, m, n, s, t) -> bool:
         """Whether (m, s) and (n, t) are bisimilar.  At once when they are
@@ -376,27 +383,35 @@ def check_witness(
     pointed pair lies in its Z."""
     if vocab is None:
         vocab = model_vocabulary(pm.model, pn.model)
-    failures: list[tuple[str, str]] = []
+    call = _CheckCall(sorted(vocab.props), sorted(vocab.constants), {}, set(), [])
     if witness is None:
-        failures.append(("pointed-pair", "missing witness"))
+        call.failures.append(("pointed-pair", "missing witness"))
     else:
-        _check_reference(pm.model, pn.model, pm.world, pn.world, witness, vocab, "", failures, set())
-    return WitnessReport(not failures, tuple(failures))
+        _check_reference(pm.model, pn.model, pm.world, pn.world, witness, "", call)
+    return WitnessReport(not call.failures, tuple(call.failures))
 
 
-def _check_reference(m, n, s, t, w, vocab, where, failures, done):
+class _CheckCall(Record):
+    """One `check_witness` call: the props and constants, sorted once, each model's
+    successor table, built once, the (m, n, witness) triples checked and the failures."""
+
+    __slots__ = __match_args__ = ("props", "constants", "succ", "done", "failures")
+
+
+def _check_reference(m, n, s, t, w, where, call):
     if (s, t) not in w.z:
-        failures.append(("pointed-pair", f"{where}({s}, {t}) not in Z"))
-    if (m, n, w) not in done:
-        done.add((m, n, w))
-        _check_into(m, n, w, vocab, where, failures, done)
+        call.failures.append(("pointed-pair", f"{where}({s}, {t}) not in Z"))
+    if (m, n, w) not in call.done:
+        call.done.add((m, n, w))
+        _check_into(m, n, w, where, call)
 
 
-def _check_into(m, n, w, vocab, where, failures, done):
+def _check_into(m, n, w, where, call):
     def fail(tag, message):
-        failures.append((tag, f"{where}{message}"))
+        call.failures.append((tag, f"{where}{message}"))
 
-    succ_m, succ_n = _successors(m), _successors(n)
+    succ_m = call.succ.get(m) or call.succ.setdefault(m, _successors(m))
+    succ_n = call.succ.get(n) or call.succ.setdefault(n, _successors(n))
     labels_m, labels_n = set(m.children), set(n.children)
     worlds_m, worlds_n = set(m.worlds), set(n.worlds)
 
@@ -413,12 +428,12 @@ def _check_into(m, n, w, vocab, where, failures, done):
         if u not in worlds_m or v not in worlds_n:
             fail("pointed-pair", f"({u}, {v}) is not a world pair")
             continue
-        for p in sorted(vocab.props):
+        for p in call.props:
             if (u in m.valuation.get(p, frozenset())) != (v in n.valuation.get(p, frozenset())):
                 fail("atoms", f"({u}, {v}) disagree on {p!r}")
         for a, b in known:
             used.setdefault((a, b, m.tracking[u][a], n.tracking[v][b]), "children")
-        for c in sorted(vocab.constants):
+        for c in call.constants:
             ca = m.assignment.get(u, {}).get(c)
             cb = n.assignment.get(v, {}).get(c)
             if (ca is None) != (cb is None):
@@ -436,7 +451,7 @@ def _check_into(m, n, w, vocab, where, failures, done):
         if child is None:
             fail(tag, f"missing child witness for ({a}, {b}) at ({wa}, {wb})")
         else:
-            _check_reference(m.children[a], n.children[b], wa, wb, child, vocab, f"{where}{a}|{b}|{wa}|{wb}: ", failures, done)
+            _check_reference(m.children[a], n.children[b], wa, wb, child, f"{where}{a}|{b}|{wa}|{wb}: ", call)
 
 
 # --------------------------------------------------------------------------

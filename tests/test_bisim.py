@@ -19,7 +19,7 @@ from gkmc.bisim import (
 from gkmc import bisim as bisim_module
 from gkmc.bisim import _Ctx, _successors, _surjective
 from gkmc.distinguish import EnumerationBudget, distinguish
-from gkmc.generate import GenSpec, break_child, dup_child, gen_model, rename_worlds
+from gkmc.generate import GenSpec, break_child, derive, dup_child, gen_model, rename_worlds
 from gkmc.model import GenealogicalModel, PointedModel, dump_model, load_model, model_vocabulary, replace_model
 from gkmc.semantics import holds_at
 from gkmc.syntax import Vocabulary, format_formula
@@ -366,6 +366,16 @@ def test_check_witness_checks_each_witness_object_once(monkeypatch, shape, entri
     monkeypatch.setattr(bisim_module, "_check_into", lambda *args: calls.append(args) or check_into(*args))
     assert check_witness(pm, pd, w).ok
     assert len(calls) == entries
+
+
+@pytest.mark.parametrize("shape", [(0, 8, 4, 2), (0, 16, 6, 3)])
+def test_check_witness_builds_each_successor_table_once(monkeypatch, shape):
+    pm, pd, w = _dup_child_witness(*shape)
+    calls = []
+    successors = bisim_module._successors
+    monkeypatch.setattr(bisim_module, "_successors", lambda m: calls.append(m) or successors(m))
+    assert check_witness(pm, pd, w).ok
+    assert len(calls) == len(set(calls)) == len(_submodels(pm.model, pd.model))
 
 
 def test_identity_witness_on_structural_copy(deadlock):
@@ -817,15 +827,78 @@ def _submodels(*roots):
     return found
 
 
-@settings(max_examples=20, deadline=None, derandomize=True)
-@given(st.sampled_from(["independent", "dup_child", "break_child", "chains"]), st.integers(0, 10_000), st.sampled_from([TINY, W8]))
-def test_one_partition_matches_naive_refinement_for_every_submodel_pair(kind, seed, spec):
+def _loaded(m):
+    """m read back from its own document: equal submodels, no shared objects."""
+    return load_model(dump_model(m))
+
+
+def _frame(m, props):
+    """What plain bisimilarity reads of m: worlds, relation, valuation on props."""
+    return m.worlds, m.relation, {p: m.valuation.get(p, frozenset()) for p in props}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(
+    st.sampled_from(["independent", "dup_child", "break_child", "chains"]),
+    st.integers(0, 10_000),
+    st.sampled_from([TINY, W8]),
+    st.sampled_from(["in memory", "loaded", "renamed"]),
+)
+def test_one_partition_matches_naive_refinement_for_every_submodel_pair(kind, seed, spec, copy):
     m, n = (_chain(3), _chain(5)) if kind == "chains" else _candidate_pair(kind, seed, spec)[:2]
+    if copy == "loaded":
+        m, n = _loaded(m), _loaded(n)
+    elif copy == "renamed":
+        n = rename_worlds(m)
     ctx = _classified(m, n)
     props = ctx.vocab.props
     for a in _submodels(m, n):
         for b in _submodels(m, n):
             assert _same_class(ctx, a, b) == _naive_plain_pairs(a, b, props)
+    if copy == "renamed":
+        # Equal frames but for world names: no class map is shared across the sides.
+        assert not {id(ctx.classes[a]) for a in _submodels(m)} & {id(ctx.classes[b]) for b in _submodels(n)}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("kind", ["dup_child", "break_child"])
+def test_ctx_holds_one_class_map_per_distinct_frame(kind, seed):
+    m, n, _, _ = _candidate_pair(kind, seed, W8)
+    m, n = _loaded(m), _loaded(n)
+    ctx = _classified(m, n)
+    subs = list(_submodels(m, n))
+    frames = [_frame(a, ctx.vocab.props) for a in subs]
+    distinct = [f for k, f in enumerate(frames) if f not in frames[:k]]
+    # Separately loaded trees hold equal frames in different objects.
+    assert len(distinct) < len(subs)
+    assert len({id(ctx.classes[a]) for a in subs}) == len({id(ctx.succ[a]) for a in subs}) == len(distinct)
+    for a, fa in zip(subs, frames):
+        for b, fb in zip(subs, frames):
+            assert (ctx.classes[a] is ctx.classes[b]) == (ctx.succ[a] is ctx.succ[b]) == (fa == fb)
+
+
+def test_only_vocabulary_propositions_split_a_frame():
+    m = load_model(json.dumps({"worlds": ["a", "b"], "relation": [["a", "b"]], "valuation": {"p": ["a"]}}))
+    q = _flip_prop(m, "q", "b")
+    pm, pq = PointedModel(m, "a"), PointedModel(q, "a")
+    outside = _Ctx(Vocabulary.of(props=["p"]), DEFAULT_BUDGET, m, q)
+    assert outside.classes[m] is outside.classes[q] and outside.succ[m] is outside.succ[q]
+    assert bisimilar(pm, pq, vocab=Vocabulary.of(props=["p"])).bisimilar
+    inside = _Ctx(Vocabulary.of(props=["p", "q"]), DEFAULT_BUDGET, m, q)
+    assert inside.classes[m] is not inside.classes[q]
+    assert inside.classes[m]["b"] != inside.classes[q]["b"]
+    assert not bisimilar(pm, pq, vocab=Vocabulary.of(props=["p", "q"])).bisimilar
+
+
+def test_verdicts_on_the_digest_pairs_are_the_same_after_loading():
+    script = load_script("bisim_digest")
+    for k in range(script.PAIRS):
+        kind = script.KINDS[k % len(script.KINDS)]
+        pm, pn = script.pair(kind, derive(script.SEED, kind, k))
+        lm, ln = PointedModel(_loaded(pm.model), pm.world), PointedModel(_loaded(pn.model), pn.world)
+        verdict = bisimilar(lm, ln)
+        assert verdict.bisimilar == bisimilar(pm, pn).bisimilar
+        assert not verdict.bisimilar or check_witness(lm, ln, verdict.witness).ok
 
 
 def _cycle_and_longer_chain():
