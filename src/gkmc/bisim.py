@@ -377,36 +377,43 @@ def check_witness(
     vocab: Optional[Vocabulary] = None,
 ) -> WitnessReport:
     """Mechanically verify every clause of the bisimulation (Z, f ≡ H) of
-    a candidate witness, recursing into its child witnesses.  A witness
-    object is checked once per call and pair of models it serves, so its
-    failures are reported once; each reference to it checks only that its
-    pointed pair lies in its Z."""
+    a candidate witness and of its child witnesses.  A witness object is
+    checked once per call and pair of models it serves, so its failures
+    are reported once; each reference to it checks only that its pointed
+    pair lies in its Z.  The witness DAG is walked depth first with a
+    stack of `_check_into` generators, so its depth needs no Python frames."""
+    if witness is None:
+        return WitnessReport(False, (("pointed-pair", "missing witness"),))
     if vocab is None:
         vocab = model_vocabulary(pm.model, pn.model)
-    call = _CheckCall(sorted(vocab.props), sorted(vocab.constants), {}, set(), [])
-    if witness is None:
-        call.failures.append(("pointed-pair", "missing witness"))
-    else:
-        _check_reference(pm.model, pn.model, pm.world, pn.world, witness, "", call)
+    call = _CheckCall(sorted(vocab.props), sorted(vocab.constants), {}, [])
+    done = set()  # the (m, n, witness) triples checked
+    stack = [iter([(pm.model, pn.model, pm.world, pn.world, witness, "")])]
+    while stack:
+        reference = next(stack[-1], None)
+        if reference is None:
+            stack.pop()
+            continue
+        m, n, s, t, w, where = reference
+        if (s, t) not in w.z:
+            call.failures.append(("pointed-pair", f"{where}({s}, {t}) not in Z"))
+        if (m, n, w) not in done:
+            done.add((m, n, w))
+            stack.append(_check_into(m, n, w, where, call))
     return WitnessReport(not call.failures, tuple(call.failures))
 
 
 class _CheckCall(Record):
-    """One `check_witness` call: the props and constants, sorted once, each model's
-    successor table, built once, the (m, n, witness) triples checked and the failures."""
+    """One `check_witness` call: the props and constants, sorted once, each
+    model's successor table, built once, and the failures."""
 
-    __slots__ = __match_args__ = ("props", "constants", "succ", "done", "failures")
-
-
-def _check_reference(m, n, s, t, w, where, call):
-    if (s, t) not in w.z:
-        call.failures.append(("pointed-pair", f"{where}({s}, {t}) not in Z"))
-    if (m, n, w) not in call.done:
-        call.done.add((m, n, w))
-        _check_into(m, n, w, where, call)
+    __slots__ = __match_args__ = ("props", "constants", "succ", "failures")
 
 
 def _check_into(m, n, w, where, call):
+    """Check `w`'s own clauses for (m, n), then yield the reference to each
+    child witness in key order; a missing one fails when its turn comes,
+    after the subtrees of the keys before it."""
     def fail(tag, message):
         call.failures.append((tag, f"{where}{message}"))
 
@@ -451,7 +458,7 @@ def _check_into(m, n, w, where, call):
         if child is None:
             fail(tag, f"missing child witness for ({a}, {b}) at ({wa}, {wb})")
         else:
-            _check_reference(m.children[a], n.children[b], wa, wb, child, f"{where}{a}|{b}|{wa}|{wb}: ", call)
+            yield m.children[a], n.children[b], wa, wb, child, f"{where}{a}|{b}|{wa}|{wb}: "
 
 
 # --------------------------------------------------------------------------
@@ -491,26 +498,35 @@ def witness_from_document(doc: dict) -> BisimWitness:
     """Read `witness_to_document`'s table in one forward pass and return
     its last entry.  Each entry becomes one object, so shared sub-witnesses
     come back shared.  A document of any other shape, an entry whose keys
-    are not exactly z, h and children, a child index that is not an
-    earlier entry, or an empty table raises `ValueError`, so no cycle can
-    be written down."""
+    are not exactly z, h and children, a pair or child key that is not an
+    array of strings, a child index that is not an earlier entry, or an
+    empty table raises `ValueError`, so no cycle can be written down."""
+    if type(doc) is not dict or doc.keys() != {"witnesses"}:
+        raise ValueError("a witness table must be an object with the one key witnesses")
     built: list[BisimWitness] = []
     try:
         for entry in doc["witnesses"]:
-            if not isinstance(entry, dict) or entry.keys() != {"z", "h", "children"}:
+            if type(entry) is not dict or entry.keys() != {"z", "h", "children"}:
                 raise ValueError("a witness entry must have exactly the keys z, h and children")
             children = {}
-            for a, b, wa, wb, i in entry["children"]:
-                if not isinstance(i, int) or not 0 <= i < len(built):
+            for *key, i in entry["children"]:
+                if type(i) is not int or not 0 <= i < len(built):
                     raise ValueError(f"child witness index {i!r} is not an earlier entry")
-                children[a, b, wa, wb] = built[i]
-            z, h = frozenset((u, v) for u, v in entry["z"]), frozenset((a, b) for a, b in entry["h"])
-            built.append(BisimWitness(z, h, children))
+                children[_names(key, 4)] = built[i]
+            z = frozenset(_names(pair, 2) for pair in entry["z"])
+            built.append(BisimWitness(z, frozenset(_names(pair, 2) for pair in entry["h"]), children))
     except (KeyError, TypeError) as error:
         raise ValueError(f"not a witness table: {error}") from None
     if not built:
         raise ValueError("empty witness table")
     return built[-1]
+
+
+def _names(row, width: int) -> tuple:
+    """`row` as a tuple, if it is an array of `width` strings."""
+    if type(row) is not list or len(row) != width or not all(type(name) is str for name in row):
+        raise ValueError(f"{row!r} is not an array of {width} strings")
+    return tuple(row)
 
 
 # --------------------------------------------------------------------------

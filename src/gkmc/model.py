@@ -28,11 +28,15 @@ format error on every Python, as is invalid JSON.
 
 Loading (`load_model`, `parse_document`, `gkmc validate`) is one walk
 over the decoded document that shape-checks and builds each model, then
-checks its invariants with the code `validate` runs.  Format errors keep
-the order they had when decoding and shape checks were separate steps:
-too deep, then a repeated key or invalid JSON (whichever the decoder
-meets first), then the walk's first shape error.  So a repeated key is
-reported before any shape error.
+checks its invariants with the code `validate` runs.  The walk reads a
+well-shaped document's depth off the generations: a model g generations
+down opens level 2g+1, its tables open level 2g+2 and what they hold
+opens level 2g+3, so the walk refuses a model once 2g+2, or 2g+3 with a
+table entry, passes the limit.  Format errors keep the order they had
+when decoding and shape checks were separate steps: too deep, then a
+repeated key or invalid JSON (whichever the decoder meets first), then
+the walk's first shape error.  So a repeated key is reported before any
+shape error.  The text is scanned for depth only to order those reports.
 Loaded models are immutable and may be shared freely across threads.
 """
 
@@ -141,10 +145,6 @@ _ALLOWED_KEYS = {"worlds", "relation", "closure", "valuation", "children", "assi
 # Below every supported JSON decoder's limit (988 levels from the CLI on 3.10/3.11).
 MAX_DOCUMENT_DEPTH = 970
 _TOO_DEEP = "document nested too deeply for the JSON decoder"
-# A model at generation g opens nesting level 2g + 1, and what its
-# fields hold reaches 2g + 3 at most: only a document with a model this
-# many generations down can nest too deeply once it has the right shape.
-_DEEP_GENERATION = (MAX_DOCUMENT_DEPTH - 1) // 2
 
 
 def reject_duplicate_keys(pairs):
@@ -159,37 +159,14 @@ def reject_duplicate_keys(pairs):
     return obj
 
 
-_ONE_KIND = bytes.maketrans(b"{}", b"[]")
-_NOT_MARKS = bytes(range(256)).translate(None, b'"[]{}')
-_STEP = {ord("["): 1, ord("]"): -1}
-
-
-def _peak(marks: bytes) -> int:
-    return max(accumulate(map(_STEP.__getitem__, marks)), default=0)
-
-
 def _too_deep(text: str) -> bool:
     """Whether the arrays and objects of `text` nest more than `MAX_DOCUMENT_DEPTH` levels."""
-    # Each level opens with "[" or "{", so their count bounds the depth;
-    # only a document with more of them is measured, its strings taken out.
+    # Each level opens with "[" or "{", so their count bounds the depth.
     if text.count("[") + text.count("{") <= MAX_DOCUMENT_DEPTH:
         return False
-    if "\\" in text:  # an escaped quote: the regex finds the strings, an unclosed one stays in
-        text = re.sub(r'"[^"\\]*(?:\\.[^"\\]*)*"', "", text).replace('"', "")
-    # Without escapes the quotes pair up in order, so the brackets outside
-    # strings are those after an even number of quotes, the unpaired last
-    # quote aside; dropping two adjacent quotes keeps every such count even.
-    marks = text.encode("utf-8", "surrogatepass").translate(_ONE_KIND, _NOT_MARKS)
-    if marks.count(b'"') % 2:
-        cut = marks.rindex(b'"')
-        marks = marks[:cut] + marks[cut + 1 :]
-    marks = marks.replace(b'""', b"")
-    if b'"' in marks:
-        marks = b"".join(marks.split(b'"')[::2])
-    # Dropping the innermost pairs lowers a peak above the limit by one at
-    # most, so only a peak of exactly the limit is measured again in full.
-    inner = _peak(marks.replace(b"[]", b""))
-    return inner > MAX_DOCUMENT_DEPTH or (inner == MAX_DOCUMENT_DEPTH and _peak(marks) > MAX_DOCUMENT_DEPTH)
+    outside = re.sub(r'"[^"\\]*(?:\\.[^"\\]*)*"', "", text)  # an unclosed string stays in
+    steps = (1 if bracket in "[{" else -1 for bracket in re.findall(r"[][{}]", outside))
+    return max(accumulate(steps), default=0) > MAX_DOCUMENT_DEPTH
 
 
 def _refuse(text: str):
@@ -231,13 +208,11 @@ def _table(obj: dict, key: str, labels: tuple[str, ...]) -> dict:
 
 class _Walk:
     """The state of one load: the keys of the objects walked, the names
-    found valid, the violations (each model's before its children's) and
-    the document text until its depth has been measured."""
+    found valid and the violations (each model's before its children's)."""
 
-    __slots__ = ("unmeasured", "keys", "names", "violations")
+    __slots__ = ("keys", "names", "violations")
 
-    def __init__(self, text: str):
-        self.unmeasured = text
+    def __init__(self):
         self.keys = 0
         self.names: set[str] = set()
         self.violations: list[ModelViolation] = []
@@ -245,10 +220,6 @@ class _Walk:
     def model(self, obj, labels: tuple[str, ...]) -> GenealogicalModel:
         # This runs on every element of every document loaded: each element
         # gets one type test, and paths and messages are built only to raise.
-        if len(labels) == _DEEP_GENERATION and self.unmeasured:
-            if _too_deep(self.unmeasured):
-                raise DocumentFormatError(_TOO_DEEP)
-            self.unmeasured = ""
         if type(obj) is not dict:
             raise DocumentFormatError(f"{_path(labels) or '<root>'}: model must be a JSON object")
         if not obj.keys() <= _ALLOWED_KEYS:
@@ -259,6 +230,9 @@ class _Walk:
         worlds = obj["worlds"]
         if type(worlds) is not list or not _strings(worlds):
             _fail(labels, "worlds", "must be an array of strings")
+        # This model opens level 2g+1 and `worlds` level 2g+2, g being its generation.
+        if 2 * len(labels) + 2 > MAX_DOCUMENT_DEPTH:
+            raise DocumentFormatError(_TOO_DEEP)
 
         relation = obj.get("relation", [])
         if type(relation) is not list:
@@ -296,6 +270,10 @@ class _Walk:
                 _fail(labels, f"tracking.{world}", "must be an object mapping child labels to child worlds")
             keys += len(row)
         self.keys += keys + len(assignment) + len(tracking)
+        # An entry of these tables opens level 2g+3 (a child's own check refuses it
+        # at generation g+1); the raw assignment table keeps its empty rows.
+        if 2 * len(labels) + 3 > MAX_DOCUMENT_DEPTH and (relation or valuation or assignment or tracking):
+            raise DocumentFormatError(_TOO_DEEP)
 
         m = GenealogicalModel(
             tuple(worlds),
@@ -319,7 +297,7 @@ def _load(text: str) -> tuple[GenealogicalModel, list[ModelViolation]]:
     proves none repeats.  Otherwise, or on any format error, `_refuse`
     decodes again with the hook to report the error that comes first.
     """
-    walk = _Walk(text)
+    walk = _Walk()
     try:
         m = walk.model(json.loads(text), ())
     except RecursionError:  # the decoder's or the walk's

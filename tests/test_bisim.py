@@ -378,6 +378,43 @@ def test_check_witness_builds_each_successor_table_once(monkeypatch, shape):
     assert len(calls) == len(set(calls)) == len(_submodels(pm.model, pd.model))
 
 
+def test_check_witness_reports_failures_in_walk_order():
+    # Three one-step children tracked at x: a's witness fails zig and zag,
+    # b's is missing and c's Z lacks the pointed pair.
+    step = {"worlds": ["x", "y"], "relation": [["x", "y"]]}
+    pm = _pointed(load_model(json.dumps({
+        "worlds": ["w"], "children": {"a": step, "b": step, "c": step}, "tracking": {"w": {"a": "x", "b": "x", "c": "x"}},
+    })))
+    children = {("a", "a", "x", "x"): _leaf_witness(("x", "x")), ("c", "c", "x", "x"): _leaf_witness(("y", "y"))}
+    witness = BisimWitness(frozenset({("w", "w")}), frozenset({("a", "a"), ("b", "b"), ("c", "c")}), children)
+    assert check_witness(pm, pm, witness).failures == (
+        ("zig", "a|a|x|x: no response in Z for x -> y from (x, x)"),
+        ("zag", "a|a|x|x: no response in Z for x -> y from (x, x)"),
+        ("children", "missing child witness for (b, b) at (x, x)"),
+        ("pointed-pair", "c|c|x|x: (x, x) not in Z"),
+    )
+
+
+def _one_world_chain(generations):
+    m = GenealogicalModel(("s",), frozenset(), {}, {}, {}, {})
+    for _ in range(generations):
+        m = GenealogicalModel(("s",), frozenset(), {}, {"n": m}, {}, {"s": {"n": "s"}})
+    return m
+
+
+def _under_frames(count, call):
+    """`call()` with `count` more frames on the stack."""
+    return _under_frames(count - 1, call) if count else call()
+
+
+def test_check_witness_of_a_480_generation_chain_needs_no_recursion():
+    # Two separately built chains, bisimilar by reflexivity: one witness per generation.
+    pm, pn = _pointed(_one_world_chain(480)), _pointed(_one_world_chain(480))
+    verdict = bisimilar(pm, pn)
+    assert verdict.bisimilar
+    assert _under_frames(80, lambda: check_witness(pm, pn, verdict.witness)).ok
+
+
 def test_identity_witness_on_structural_copy(deadlock):
     text = '{"worlds": ["w0"], "valuation": {"a": ["w0"]}}'
     m, n = load_model(text), load_model(text)
@@ -471,8 +508,15 @@ def _with_child(index):
         {"witnesses": 5},
         {"witnesses": [{**_LEAF, "z": 5}]},
         [_LEAF],
+        {"witnesses": [{**_LEAF, "z": ["s0"]}]},
+        {"witnesses": [{**_LEAF, "h": ["ab"]}]},
+        {"witnesses": [{**_LEAF, "z": [[1, 2]]}]},
+        {"witnesses": [_LEAF, {**_LEAF, "children": [[1, "a", "u", "u", 0]]}]},
+        {"witnesses": [_LEAF, _LEAF, _with_child(True)]},
+        {"witnesses": [_LEAF], "note": ""},
     ],
-    ids=["forward", "self", "negative", "empty", "nested", "per-pair-f", "extra-key", "table-not-a-list", "z-not-a-list", "document-a-list"],
+    ids=["forward", "self", "negative", "empty", "nested", "per-pair-f", "extra-key", "table-not-a-list", "z-not-a-list", "document-a-list",
+         "z-pair-a-string", "h-pair-a-string", "z-names-not-strings", "child-name-not-a-string", "index-true", "extra-top-level-key"],
 )
 def test_witness_table_rejects_bad_indices_and_other_formats(doc):
     with pytest.raises(ValueError):

@@ -154,13 +154,60 @@ def _nesting(text: str) -> int:
     return max(accumulate(1 if b in "[{" else -1 for b in re.findall(r"[][{}]", outside)), default=0)
 
 
-@given(st.text('[]{}"\\a:\n', max_size=40), st.integers(1, 6))
-@example('"[[', 1)  # an unclosed string is not taken out
-@example('"[[\\\n"', 1)  # nor one the regex cannot match, a backslash before a newline
-def test_depth_measure_agrees_with_a_plain_scan(text, limit):
-    # Well-formed or not: on an error path the measure decides which error comes first.
+_TOO_DEEP = "document nested too deeply for the JSON decoder"
+
+# One entry per table that can hold one; each opens a level below its table.
+_HELD = {"relation": [["s", "s"]], "valuation": {"p": []}, "assignment": {"s": {}}, "tracking": {"s": {}}}
+
+
+def _chain_document(held) -> str:
+    """A valid one-world chain of `len(held)` models, each but the last the
+    parent of the next; the model at generation g has an entry in the
+    tables `held[g]` names, and its other tables are empty."""
+    doc = None
+    for tables in reversed(held):
+        model = {"worlds": ["s"], "relation": [], "valuation": {}, "assignment": {}, "tracking": {}}
+        model.update((table, _HELD[table]) for table in tables)
+        if doc is not None:
+            model.update(children={"n": doc}, tracking={"s": {"n": "s"}})
+        doc = model
+    return json.dumps(doc)
+
+
+@given(st.integers(3, 12), st.lists(st.sets(st.sampled_from(sorted(_HELD))), min_size=1, max_size=7))
+@example(4, [set(), set()])  # the tables of generation 1 reach the limit and no further
+@example(3, [{"relation"}])  # the entries of generation 0 reach the limit and no further
+@example(3, [set(), set()])  # the tables of generation 1 pass the limit
+@example(4, [set(), {"relation"}])  # an entry of generation 1 passes it, in each table alone
+@example(4, [set(), {"valuation"}])
+@example(4, [set(), {"assignment"}])  # an empty row, which the model drops
+@example(4, [set(), {"tracking"}])
+def test_load_refuses_exactly_the_chains_nested_past_the_limit(limit, held):
+    # The walk decides from generations alone; `_nesting` counts brackets.
+    text = _chain_document(held)
     with mock.patch.object(model_module, "MAX_DOCUMENT_DEPTH", limit):
-        assert model_module._too_deep(text) == (_nesting(text) > limit), text
+        try:
+            load_model(text)
+        except DocumentFormatError as exc:
+            assert str(exc) == _TOO_DEEP
+            refused = True
+        else:
+            refused = False
+    assert refused == (_nesting(text) > limit), text
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ('{"worlds": ["' + "[{" * MAX_DOCUMENT_DEPTH + '"], "relation": 5}', "relation: must be an array of pairs"),
+        ('{"worlds": ["' + "[{" * MAX_DOCUMENT_DEPTH + '\\"["], "worlds": []}', "duplicate key 'worlds'"),
+        ('{"worlds": ["' + "[" * MAX_DOCUMENT_DEPTH + '"], ', "not valid JSON: Expecting property name enclosed in double quotes"),
+    ],
+    ids=["shape", "duplicate", "invalid-json"],
+)
+def test_brackets_inside_strings_do_not_make_an_error_too_deep(text, error):
+    with pytest.raises(DocumentFormatError, match=re.escape(error)):
+        load_model(text)
 
 
 def test_depth_limit_is_exact():
@@ -272,9 +319,9 @@ def test_duplicate_key_hook_runs_only_to_report_an_error(monkeypatch):
 
 
 def test_depth_limit_is_exact_on_a_chain_of_children():
-    # The walk measures the text once it meets a model 484 generations
-    # down, the first that can reach level 971.  A fresh process, as in
-    # test_depth_limit_is_exact.
+    # The walk refuses a model 485 generations down, whose `worlds` opens
+    # level 972, and one 484 down whose tables hold an entry, which opens
+    # level 971.  A fresh process, as in test_depth_limit_is_exact.
     script = """if True:
         from gkmc.model import DocumentFormatError, load_model
         for generations, leaf in ((484, '{"worlds": ["s"], "valuation": {}}'), (484, '{"worlds": ["s"], "valuation": {"p": []}}'),
@@ -289,8 +336,7 @@ def test_depth_limit_is_exact_on_a_chain_of_children():
     """
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, cwd=src)
-    too_deep = "document nested too deeply for the JSON decoder"
-    assert done.stdout.splitlines() == ["1", too_deep, too_deep]
+    assert done.stdout.splitlines() == ["1", _TOO_DEEP, _TOO_DEEP]
 
 
 # --- invariant violations ----------------------------------------------
