@@ -23,8 +23,16 @@ import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-MODEL, BISIM = "src/gkmc/model.py", "src/gkmc/bisim.py"
+MODEL, BISIM, DISTINGUISH = "src/gkmc/model.py", "src/gkmc/bisim.py", "src/gkmc/distinguish.py"
 _HELD = "(relation or valuation or assignment or tracking)"
+_SEARCH = "                search = [f for f in new if not _follows(f, self.known)]\n"
+_COMMIT = """                self.seen.update(new)
+                self.known.update(new)
+                self.known.update([f.operand for f in new if type(f) is Not])
+"""
+_BOX_AND = """        if type(a) is And:
+            return And(Box(a.left), Box(a.right))
+"""
 _TABLES_CHECK = """        if 2 * len(labels) + 2 > MAX_DOCUMENT_DEPTH:
             raise DocumentFormatError(_TOO_DEEP)
 """
@@ -48,6 +56,13 @@ MUTANTS = [
     (BISIM, """    if type(row) is not list or len(row) != width or not all(type(name) is str for name in row):
         raise ValueError(f"{row!r} is not an array of {width} strings")
 """, "", "witness_from_document: no pair-shape check"),
+    (DISTINGUISH, _SEARCH + _COMMIT, _COMMIT + _SEARCH, "search list: the earlier-batch test read after the batch is added"),
+    (DISTINGUISH, _BOX_AND, _BOX_AND + "        if type(a) is Not:\n            return Not(Box(a.operand))\n",
+     "search list: [] distributed over ~"),
+    (DISTINGUISH, "if a is not _BOT and x not in free_vars(a).model:", "if a is not _BOT:",
+     "search list: the forall rule without its free-variable condition"),
+    (DISTINGUISH, "return And(QueryConst(_TOP, c), Not(QueryConst(a.operand, c)))", "return Not(QueryConst(a.operand, c))",
+     "search list: ?[~a] #c without its ?[T] #c part"),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]

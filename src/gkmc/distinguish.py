@@ -26,10 +26,36 @@ whole cost batch at a time, and shared by every reader: repeated
 Formula nodes are hash-consed (see `syntax.Formula`), so a stream
 subformula is one object wherever it occurs, and the stream's sets and
 an evaluator's memo find it by identity.  Only the most recent
-setting's stream is kept: about 4.9 MB at cost 4, modal depth 4 over
-`{p}`/`{c}`, and 46 MB at cost 5 (`scripts/stream_memory.py`).  A
-one-shot CLI run builds it once, as before.  `distinguish` reads the
-stream's list directly and evaluates each sentence once, over the
+setting's stream is kept: about 5.5 MB at cost 4, modal depth 4 over
+`{p}`/`{c}`, and 45 MB at cost 5 (`scripts/stream_memory.py`).  A
+one-shot CLI run builds it once, as before.
+
+`distinguish` looks for the *first* separator in stream order, and a
+sentence whose value at every world is a Boolean combination of the
+values of sentences of earlier cost batches can never be it: when it is
+reached, all of those agreed on the pair, so it agrees too (a Boolean
+combination of sentences two pointed models agree on is one they agree
+on).  So when a batch is committed, its search list is recorded beside
+it: its new sentences less those that follow from the earlier batches.
+A formula follows if it or its negation is a sentence of an earlier
+batch (the stream's `known` set holds both), if it is `~a` or `a & b`
+whose operands follow, or if it equals, by one of these validities, a
+formula that follows:
+
+    [](a & b)           = []a & []b
+    forall x. (a & b)   = forall x. a & forall x. b
+    forall x. a         = a | forall x. F     (x not free in a, a not F)
+    ?[a & b] #c         = ?[a] #c & ?[b] #c
+    ?[~a] #c            = ?[T] #c & ~?[a] #c
+
+(`forall x. F` holds exactly at the worlds of a model without children,
+and it would reduce to itself; a query is false wherever its constant is
+undefined.)  No sentence of the batch itself counts, as it may come
+later in the stream than the sentence it would decide.  By induction on
+stream position, every skipped sentence agrees on the pair whenever
+everything read before it did, so `distinguish` returns the separator
+the whole stream would.  It reads the search list, 2,245 of the 4,861
+sentences at (4,4), and evaluates each of its sentences once, over the
 disjoint union of the two models (`Evaluator.checked_masks`, which
 checks no sentence: the stream has checked them), reading its value at
 each pointed world off one bit.
@@ -118,7 +144,8 @@ _ROOT: _Ctx = ((), frozenset(), frozenset())
 
 class _Stream:
     """The sentences of one setting in stream order: `sentences[:ends[c]]`
-    is the stream at connective cost `c`."""
+    is the stream at connective cost `c`, and `search[:search_ends[c]]`
+    its search list, the sentences `distinguish` reads."""
 
     def __init__(self, modal: int, vocab: Vocabulary, allow_xi: bool):
         self.key = (modal, vocab, allow_xi)
@@ -130,7 +157,11 @@ class _Stream:
         self.sort_key: dict[Formula, tuple[int, str]] = {}
         self.sentences: list[Formula] = []
         self.ends: list[int] = []
+        self.search: list[Formula] = []
+        self.search_ends: list[int] = []
         self.seen: set[Formula] = set()
+        # The sentences of `seen` and the operands of its negations.
+        self.known: set[Formula] = set()
 
     def end(self, cost: int) -> int:
         """The stream's length at cost `cost`, grown to it first.  Each batch
@@ -144,9 +175,14 @@ class _Stream:
                 for f in new:
                     if not check_sentence(f).verdict:
                         raise RuntimeError(f"the stream built a non-sentence: {format_formula(f)!r}")
+                search = [f for f in new if not _follows(f, self.known)]
                 self.seen.update(new)
+                self.known.update(new)
+                self.known.update([f.operand for f in new if type(f) is Not])
                 self.sentences.extend(new)
                 self.ends.append(len(self.sentences))
+                self.search.extend(search)
+                self.search_ends.append(len(self.search))
             return self.ends[cost]
 
     def exact(self, cost: int, modal: int, ctx: _Ctx) -> tuple[Formula, ...]:
@@ -219,6 +255,45 @@ class _Stream:
                 yield QueryConst(body, c)
 
 
+def _follows(f: Formula, known: set) -> bool:
+    """Whether, by the rules in the module docstring, the sentence `f`'s
+    value at every world is a Boolean combination of the values of
+    sentences in `known`."""
+    if f in known:
+        return True
+    t = type(f)
+    if t is Not:
+        return _follows(f.operand, known)
+    if t is And:
+        return _follows(f.left, known) and _follows(f.right, known)
+    same = _equivalent(f)
+    return same is not None and _follows(same, known)
+
+
+def _equivalent(f: Formula) -> Optional[Formula]:
+    """A Boolean combination of other sentences with the sentence `f`'s
+    value at every world, by one of the validities in the module
+    docstring, or None when none applies."""
+    t = type(f)
+    if t is Box:
+        a = f.operand
+        if type(a) is And:
+            return And(Box(a.left), Box(a.right))
+    elif t is Forall:
+        x, a = f.var, f.body
+        if type(a) is And:
+            return And(Forall(x, a.left), Forall(x, a.right))
+        if a is not _BOT and x not in free_vars(a).model:
+            return Not(And(Not(a), Not(Forall(x, _BOT))))  # a | forall x. F
+    elif t is QueryConst:
+        a, c = f.body, f.const
+        if type(a) is And:
+            return And(QueryConst(a.left, c), QueryConst(a.right, c))
+        if type(a) is Not:
+            return And(QueryConst(_TOP, c), Not(QueryConst(a.operand, c)))
+    return None
+
+
 _lock = threading.Lock()
 _stream: Optional[_Stream] = None  # the most recent setting's stream
 
@@ -246,10 +321,11 @@ def enumerate_sentences(budget: EnumerationBudget) -> Iterator[Formula]:
 
 def distinguish(pm: PointedModel, pn: PointedModel, budget: EnumerationBudget) -> Optional[Formula]:
     """First enumerated sentence the two pointed models disagree on, or
-    None when the whole fragment agrees.  Each sentence is evaluated once,
-    over the disjoint union of the two models, with no sentence check (the
-    stream checked it when it was built), and its value at each pointed
-    world read off one bit.  Before a hit is returned, an unmemoized
+    None when the whole fragment agrees.  Only the stream's search list is
+    read (see the module docstring).  Each of its sentences is evaluated
+    once, over the disjoint union of the two models, with no sentence check
+    (the stream checked it when it was built), and its value at each
+    pointed world read off one bit.  Before a hit is returned, an unmemoized
     evaluation of each side on its own must give it the same value.  Just
     before the last cost batch, a checked proof of bisimilarity answers
     None without reading that batch."""
@@ -260,8 +336,9 @@ def distinguish(pm: PointedModel, pn: PointedModel, budget: EnumerationBudget) -
     for cost in range(last + 1):
         if cost == last and _proved_bisimilar(pm, pn, budget.vocab):
             return None
-        end = stream.end(cost)
-        for sentence in stream.sentences[start:end]:
+        stream.end(cost)
+        end = stream.search_ends[cost]
+        for sentence in stream.search[start:end]:
             mask = worlds(sentence)
             if (not mask & bit_m) != (not mask & bit_n):
                 held = [bool(mask & bit_m), bool(mask & bit_n)]

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import importlib
@@ -9,14 +10,31 @@ import threading
 import weakref
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gkmc.bisim import BisimVerdict, BisimWitness, BudgetExceededError, bisimilar, brute_force_bisim
 from gkmc.distinguish import EnumerationBudget, distinguish, enumerate_sentences
 from gkmc.generate import GenSpec, SplitMix64, break_child, derive, dup_child, gen_model, rename_worlds
 from gkmc.model import GenealogicalModel, PointedModel, load_model, model_vocabulary
-from gkmc.semantics import Evaluator, holds_at
-from gkmc.syntax import Prop, QueryVar, Vocabulary, check_sentence, format_formula, parse, subformulas
+from gkmc.semantics import Evaluator, evaluate_sentence, holds_at
+from gkmc.syntax import (
+    And,
+    Box,
+    Forall,
+    Not,
+    Prop,
+    QueryConst,
+    QueryVar,
+    Top,
+    Vocabulary,
+    bot,
+    check_sentence,
+    format_formula,
+    free_vars,
+    or_,
+    parse,
+    subformulas,
+)
 
 from conftest import TINY, load_script, same_structure, twins_and_retrack
 
@@ -409,6 +427,8 @@ def _tiny_pair(seed, shape, i, j):
     return PointedModel(m, m.worlds[i % len(m.worlds)]), PointedModel(n, n.worlds[j % len(n.worlds)])
 
 
+# The examples are (4,4) pairs whose search reads into the cost-4 batch:
+# separated there, non-bisimilar and separated nowhere, and bisimilar.
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     st.integers(0, 10**6),
@@ -416,10 +436,17 @@ def _tiny_pair(seed, shape, i, j):
     st.integers(0, 2),
     st.integers(0, 2),
     st.booleans(),
+    st.just(3),
 )
-def test_distinguish_returns_the_first_sentence_direct_evaluation_separates(seed, shape, i, j, allow_xi):
+@example(93, "break_child", 2, 1, True, 4)
+@example(147, "break_child", 0, 0, True, 4)
+@example(221, "break_child", 0, 0, True, 4)
+@example(50, "break_child", 0, 0, True, 4)
+@example(135, "break_child", 1, 2, True, 4)
+@example(0, "dup_child", 0, 0, True, 4)
+def test_distinguish_returns_the_first_sentence_direct_evaluation_separates(seed, shape, i, j, allow_xi, depth):
     pm, pn = _tiny_pair(seed, shape, i, j)
-    budget = EnumerationBudget(3, 3, P_C, allow_xi=allow_xi)
+    budget = EnumerationBudget(depth, depth, P_C, allow_xi=allow_xi)
     first = next(
         (
             s
@@ -491,8 +518,9 @@ def _last_batch_separated_pair():
 
 def test_the_sweep_evaluates_each_sentence_once_over_the_pair(monkeypatch, empty_stream):
     # An exhausting pair at (3,3): with the proof switched off, the search
-    # reads the whole stream.  Each sentence is one entry into `_eval`, at
-    # the record over both models; recursive calls are not entries.
+    # reads the whole search list, in stream order, and no other sentence.
+    # Each sentence is one entry into `_eval`, at the record over both
+    # models; recursive calls are not entries.
     pm, pn = _dup_child_pair()
     budget = EnumerationBudget(3, 3, P_C)
     monkeypatch.setattr(_distinguish_module, "_proved_bisimilar", lambda *args: False)
@@ -509,9 +537,90 @@ def test_the_sweep_evaluates_each_sentence_once_over_the_pair(monkeypatch, empty
 
     monkeypatch.setattr(Evaluator, "_eval", counted)
     assert distinguish(pm, pn, budget) is None
-    stream = _distinguish_module._stream.sentences
-    assert len(stream) == 603
-    assert entries == [((pm.model, pn.model), sentence) for sentence in stream]
+    stream = _distinguish_module._stream
+    assert len(stream.sentences) == 603 and len(stream.search) == 302
+    assert entries == [((pm.model, pn.model), sentence) for sentence in stream.search]
+    searched = set(stream.search)
+    assert stream.search == [sentence for sentence in stream.sentences if sentence in searched]  # in stream order
+    skipped = set(stream.sentences) - searched
+    assert len(skipped) == 603 - 302 and not skipped & {f for _, f in entries}
+
+
+# --- the search list ---------------------------------------------------------
+
+# The validities the search list drops sentences by, as stated in the
+# `distinguish` module docstring: each maps a sentence of its shape to the
+# Boolean combination of other sentences it equals, and anything else to None.
+
+
+def _box_and(f):
+    if type(f) is Box and type(f.operand) is And:
+        return And(Box(f.operand.left), Box(f.operand.right))
+
+
+def _forall_and(f):
+    if type(f) is Forall and type(f.body) is And:
+        return And(Forall(f.var, f.body.left), Forall(f.var, f.body.right))
+
+
+def _forall_vacuous(f):
+    if type(f) is Forall and type(f.body) is not And and f.var not in free_vars(f.body).model and f.body is not bot():
+        return or_(f.body, Forall(f.var, bot()))
+
+
+def _query_and(f):
+    if type(f) is QueryConst and type(f.body) is And:
+        return And(QueryConst(f.body.left, f.const), QueryConst(f.body.right, f.const))
+
+
+def _query_not(f):
+    if type(f) is QueryConst and type(f.body) is Not:
+        return And(QueryConst(Top(), f.const), Not(QueryConst(f.body.operand, f.const)))
+
+
+STATED = {"box-and": _box_and, "forall-and": _forall_and, "forall-vacuous": _forall_vacuous,
+          "query-and": _query_and, "query-not": _query_not}
+
+
+@functools.cache
+def _stream_3_3_and_4_4():
+    budgets = EnumerationBudget(3, 3, P_C), EnumerationBudget(4, 4, P_C)
+    return tuple(dict.fromkeys(f for budget in budgets for f in enumerate_sentences(budget)))
+
+
+@functools.cache
+def _shaped(rule):
+    """The sentences of `_stream_3_3_and_4_4` that `rule` applies to."""
+    return [f for f in _stream_3_3_and_4_4() if STATED[rule](f) is not None]
+
+
+def _combined(m, f):
+    """The worlds of `m` where `f` holds, `~` and `&` taken as set operations
+    over the unmemoized world sets of the sentences they combine."""
+    if type(f) is Not:
+        return frozenset(m.worlds) - _combined(m, f.operand)
+    if type(f) is And:
+        return _combined(m, f.left) & _combined(m, f.right)
+    return evaluate_sentence(m, f, use_memo=False)
+
+
+@pytest.mark.parametrize("rule", STATED)
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 10**6), picks=st.lists(st.integers(0, 10**6), min_size=4, max_size=4))
+def test_each_rule_of_the_search_list_is_a_validity(rule, seed, picks):
+    m = gen_model(GenSpec(seed=seed, **TINY))
+    shaped = _shaped(rule)
+    for k in picks:
+        f = shaped[k % len(shaped)]
+        assert evaluate_sentence(m, f, use_memo=False) == _combined(m, STATED[rule](f)), format_formula(f)
+
+
+def test_the_search_list_applies_the_stated_rules_and_no_other():
+    for f in _stream_3_3_and_4_4():
+        stated = [same(f) for same in STATED.values() if same(f) is not None]
+        assert len(stated) <= 1, format_formula(f)
+        assert _distinguish_module._equivalent(f) is (stated[0] if stated else None), format_formula(f)
+    assert all(len(_shaped(rule)) >= 20 for rule in STATED)
 
 
 def test_bisimilar_pair_skips_the_last_batch(empty_stream):
